@@ -259,7 +259,7 @@ func (x *xbyz) propose(lead *xbyzLead, digest types.Hash, now time.Time) []conse
 	}
 	payload := msg.Encode(nil)
 	out := []consensus.Outbound{{
-		To: othersOf(x.topo.InvolvedNodes(lead.involved), x.self),
+		To: consensus.Others(x.topo.InvolvedNodes(lead.involved), x.self),
 		Env: &types.Envelope{Type: types.MsgXPropose, From: x.self,
 			Payload: payload, Sig: x.signer.Sign(payload)},
 	}}
@@ -347,7 +347,7 @@ func (x *xbyz) withdraw(lead *xbyzLead, digest types.Hash, now time.Time) []cons
 	msg := &types.ConsensusMsg{View: lead.view, Digest: digest, Cluster: x.cluster}
 	payload := msg.Encode(nil)
 	out := []consensus.Outbound{{
-		To: othersOf(x.topo.InvolvedNodes(lead.involved), x.self),
+		To: consensus.Others(x.topo.InvolvedNodes(lead.involved), x.self),
 		Env: &types.Envelope{Type: types.MsgXAbort, From: x.self,
 			Payload: payload, Sig: x.signer.Sign(payload)},
 	}}
@@ -444,7 +444,7 @@ func (x *xbyz) onPropose(env *types.Envelope, now time.Time) ([]consensus.Outbou
 		}
 		if inst.commitEnv != nil {
 			out = append(out, consensus.Outbound{
-				To:  othersOf(x.topo.InvolvedNodes(inst.involved), x.self),
+				To:  consensus.Others(x.topo.InvolvedNodes(inst.involved), x.self),
 				Env: inst.commitEnv,
 			})
 		}
@@ -506,7 +506,7 @@ func (x *xbyz) sendAccept(inst *xinst, digest types.Hash, st chainStatus) []cons
 	}
 	payload := m.Encode(nil)
 	return []consensus.Outbound{{
-		To: othersOf(x.topo.InvolvedNodes(inst.involved), x.self),
+		To: consensus.Others(x.topo.InvolvedNodes(inst.involved), x.self),
 		Env: &types.Envelope{Type: types.MsgXAccept, From: x.self,
 			Payload: payload, Sig: x.signer.Sign(payload)},
 	}}
@@ -586,7 +586,7 @@ func (x *xbyz) maybeCommit(inst *xinst, digest types.Hash, now time.Time) ([]con
 		Payload: payload, Sig: x.signer.Sign(payload)}
 	inst.commitEnv = env
 	out := []consensus.Outbound{{
-		To:  othersOf(x.topo.InvolvedNodes(inst.involved), x.self),
+		To:  consensus.Others(x.topo.InvolvedNodes(inst.involved), x.self),
 		Env: env,
 	}}
 	return out, x.maybeDecide(inst, digest)

@@ -295,7 +295,7 @@ func (x *xcrash) propose(lead *xlead, now time.Time) ([]consensus.Outbound, []cr
 	}
 	env := &types.Envelope{Type: types.MsgXPropose, From: x.self, Payload: msg.Encode(nil)}
 	outs := []consensus.Outbound{{
-		To:  othersOf(x.topo.InvolvedNodes(lead.involved), x.self),
+		To:  consensus.Others(x.topo.InvolvedNodes(lead.involved), x.self),
 		Env: env,
 	}}
 	o, d := x.castLeadVote(lead, now)
@@ -376,7 +376,7 @@ func (x *xcrash) withdraw(lead *xlead, now time.Time) []consensus.Outbound {
 	msg := &types.ConsensusMsg{View: lead.view, Digest: lead.digest, Cluster: x.cluster}
 	env := &types.Envelope{Type: types.MsgXAbort, From: x.self, Payload: msg.Encode(nil)}
 	return []consensus.Outbound{{
-		To:  othersOf(x.topo.InvolvedNodes(lead.involved), x.self),
+		To:  consensus.Others(x.topo.InvolvedNodes(lead.involved), x.self),
 		Env: env,
 	}}
 }
@@ -573,7 +573,7 @@ func (x *xcrash) tryComplete(lead *xlead, now time.Time) ([]consensus.Outbound, 
 		Txs:        lead.txs,
 		Seq:        valid, // aggregated validity bitmap
 	}
-	to := othersOf(x.topo.InvolvedNodes(lead.involved), x.self)
+	to := consensus.Others(x.topo.InvolvedNodes(lead.involved), x.self)
 	cenv := &types.Envelope{Type: types.MsgXCommit, From: x.self, Payload: cm.Encode(nil)}
 	// Retain the commit for retransmission: participants are holding their
 	// chains locked for it, and a lost or slow copy must not strand a
@@ -750,15 +750,4 @@ func (x *xcrash) Tick(now time.Time) ([]consensus.Outbound, []crossDecision) {
 	outs, decs = append(outs, o...), append(decs, d...)
 	o2, d2 := x.drainWaiting(now)
 	return append(outs, o2...), append(decs, d2...)
-}
-
-// othersOf filters self out of a destination list.
-func othersOf(nodes []types.NodeID, self types.NodeID) []types.NodeID {
-	out := make([]types.NodeID, 0, len(nodes))
-	for _, n := range nodes {
-		if n != self {
-			out = append(out, n)
-		}
-	}
-	return out
 }

@@ -759,7 +759,7 @@ func (n *Node) reportFraud(proofs []*types.FraudProof) {
 	if len(proofs) == 0 {
 		return
 	}
-	peers := othersOf(n.cfg.Topology.Members(n.cfg.Cluster), n.cfg.Self)
+	peers := consensus.Others(n.cfg.Topology.Members(n.cfg.Cluster), n.cfg.Self)
 	for _, p := range proofs {
 		raw := p.Encode(nil)
 		if n.cfg.Storage != nil {
@@ -962,7 +962,7 @@ func (n *Node) maybeSync(now time.Time) {
 	default:
 		return
 	}
-	peers := othersOf(n.cfg.Topology.Members(n.cfg.Cluster), n.cfg.Self)
+	peers := consensus.Others(n.cfg.Topology.Members(n.cfg.Cluster), n.cfg.Self)
 	if len(peers) == 0 {
 		return
 	}

@@ -51,7 +51,6 @@ type Engine struct {
 	committedHead types.Hash
 
 	instances map[uint64]*instance
-	delivered map[uint64]bool
 
 	vcVotes      map[uint64]map[types.NodeID]*types.ViewChange
 	viewChanging bool
@@ -84,7 +83,6 @@ func New(cfg Config, genesis types.Hash) *Engine {
 		proposedHead:  genesis,
 		committedHead: genesis,
 		instances:     make(map[uint64]*instance),
-		delivered:     make(map[uint64]bool),
 		vcVotes:       make(map[uint64]map[types.NodeID]*types.ViewChange),
 	}
 }
@@ -142,7 +140,7 @@ func (e *Engine) Propose(txs []*types.Transaction, now time.Time) ([]consensus.O
 	}
 	payload := msg.Encode(nil)
 	out := []consensus.Outbound{{
-		To:  others(e.members(), e.cfg.Self),
+		To:  consensus.Others(e.members(), e.cfg.Self),
 		Env: &types.Envelope{Type: types.MsgFastPropose, From: e.cfg.Self, Payload: payload, Sig: e.sign(payload)},
 	}}
 	out = append(out, e.voteAccept(inst, seq)...)
@@ -190,7 +188,7 @@ func (e *Engine) onPropose(env *types.Envelope, now time.Time) ([]consensus.Outb
 	}
 	if m.Seq <= e.committedSeq {
 		// Delivered slot: a re-delivered proposal must not resurrect its
-		// deleted instance (see pbft.Engine.onPrepare).
+		// deleted instance (see consensus.Log.VoteSlot).
 		e.cfg.Obs.Stragglers().Inc()
 		return nil, nil
 	}
@@ -220,7 +218,7 @@ func (e *Engine) voteAccept(inst *instance, seq uint64) []consensus.Outbound {
 	m := &types.ConsensusMsg{View: inst.view, Seq: seq, Digest: inst.digest, Cluster: e.cfg.Cluster}
 	payload := m.Encode(nil)
 	return []consensus.Outbound{{
-		To:  others(e.members(), e.cfg.Self),
+		To:  consensus.Others(e.members(), e.cfg.Self),
 		Env: &types.Envelope{Type: types.MsgFastAccept, From: e.cfg.Self, Payload: payload, Sig: e.sign(payload)},
 	}}
 }
@@ -232,7 +230,7 @@ func (e *Engine) onAccept(env *types.Envelope) ([]consensus.Outbound, []consensu
 	}
 	if m.Seq <= e.committedSeq {
 		e.cfg.Obs.Stragglers().Inc()
-		return nil, nil // delivered slot; straggler vote (see pbft.Engine.onPrepare)
+		return nil, nil // delivered slot; straggler vote (see consensus.Log.VoteSlot)
 	}
 	inst := e.getInstance(m.Seq)
 	inst.accepts[env.From] = m.Digest
@@ -253,13 +251,12 @@ func (e *Engine) advanceFrom(inst *instance, seq uint64) []consensus.Decision {
 	}
 	var out []consensus.Decision
 	for {
-		next := e.committedSeq + 1
+		next := e.committedSeq + 1 // committedSeq only rises, so next was never delivered
 		in, ok := e.instances[next]
-		if !ok || !in.committed || len(in.txs) == 0 || e.delivered[next] {
+		if !ok || !in.committed || len(in.txs) == 0 {
 			return out
 		}
 		block := &types.Block{Txs: in.txs, Parents: []types.Hash{in.parent}}
-		e.delivered[next] = true
 		e.committedSeq = next
 		e.committedHead = block.Hash()
 		out = append(out, consensus.Decision{Block: block, Seq: next})
@@ -288,7 +285,7 @@ func (e *Engine) startViewChange(newView uint64) []consensus.Outbound {
 	e.recordVC(e.cfg.Self, vc)
 	payload := vc.Encode(nil)
 	return []consensus.Outbound{{
-		To:  others(e.members(), e.cfg.Self),
+		To:  consensus.Others(e.members(), e.cfg.Self),
 		Env: &types.Envelope{Type: types.MsgViewChange, From: e.cfg.Self, Payload: payload, Sig: e.sign(payload)},
 	}}
 }
@@ -326,7 +323,7 @@ func (e *Engine) onViewChange(env *types.Envelope) ([]consensus.Outbound, []cons
 		LastSeq: e.committedSeq, LastHash: e.committedHead}
 	payload := nv.Encode(nil)
 	out = append(out, consensus.Outbound{
-		To:  others(e.members(), e.cfg.Self),
+		To:  consensus.Others(e.members(), e.cfg.Self),
 		Env: &types.Envelope{Type: types.MsgNewView, From: e.cfg.Self, Payload: payload, Sig: e.sign(payload)},
 	})
 	e.installView(vc.NewView)
@@ -361,16 +358,6 @@ func (e *Engine) installView(v uint64) {
 		}
 	}
 	e.cfg.Obs.InstGauge().Set(uint64(len(e.instances)))
-}
-
-func others(members []types.NodeID, self types.NodeID) []types.NodeID {
-	out := make([]types.NodeID, 0, len(members)-1)
-	for _, m := range members {
-		if m != self {
-			out = append(out, m)
-		}
-	}
-	return out
 }
 
 // SuspectPrimary votes to depose the current primary. The runtime calls it

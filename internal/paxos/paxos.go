@@ -8,13 +8,12 @@
 // The engine is a pure state machine: callers feed it envelopes and timer
 // ticks; it returns outbound messages and ordered decisions. It never
 // touches the network, the ledger, or the clock, which keeps every protocol
-// step deterministic and unit-testable.
+// step deterministic and unit-testable. The slot, view and recovery
+// machinery it shares with PBFT lives in consensus.Log; this package keeps
+// the Paxos messages and quorums.
 package paxos
 
 import (
-	"fmt"
-	"os"
-	"sort"
 	"time"
 
 	"sharper/internal/consensus"
@@ -24,115 +23,24 @@ import (
 
 // Engine is one node's Paxos state for one cluster.
 type Engine struct {
-	topo    *consensus.Topology
-	cluster types.ClusterID
-	self    types.NodeID
-
-	view uint64
-
-	// Primary-side proposal chain: the hash/seq of the latest block this
-	// primary has proposed (it may be ahead of the committed head, which
-	// enables pipelining — block hashes are computable at proposal time
-	// because they cover only the transaction and parent links).
-	proposedSeq  uint64
-	proposedHead types.Hash
-
-	// Committed progress, advanced by Engine.advance as decisions drain.
-	committedSeq  uint64
-	committedHead types.Hash
-
-	instances map[uint64]*instance
-	delivered map[uint64]bool
-	// parked holds accept messages that arrived out of order (their seq or
-	// parent does not yet extend our chain); they are retried whenever the
-	// proposal chain advances.
-	parked map[uint64]*types.Envelope
-
-	// View change bookkeeping. promised is the highest view this node has
-	// voted a view change for: like a Paxos phase-1 promise, once cast the
-	// node rejects proposals from lower views — otherwise an acceptance
-	// granted after the view-change vote would be invisible to the new
-	// view's value recovery, and the deposed primary could commit with it.
-	vcVotes      map[uint64]map[types.NodeID]*types.ViewChange
-	viewChanging bool
-	promised     uint64
-	// vcDeadline bounds how long the node waits for the voted view to
-	// install before escalating to the next one. Without it, a view whose
-	// candidate primary is itself dead (view numbers rotate over all
-	// members, crashed or not) wedges the cluster forever: every live node
-	// sits in viewChanging, and Tick fires no further suspicion.
-	vcDeadline time.Time
-
-	// New-primary recovery state: values reported prepared by the
-	// view-change quorum, to re-propose in order, and the committed
-	// sequence this node must reach (by chain sync) before proposing
-	// anything — a voter reported commits we have not seen, so proposing
-	// earlier could re-bind an already-committed slot.
-	pendingRepropose []preparedCand
-	reproposeBarrier uint64
-
-	// Proposal timeout for backups awaiting commit.
-	timeout time.Duration
-
-	// persist, when set, records acceptances and view positions to stable
-	// storage before the message they vouch for leaves the node, so a
-	// restarted acceptor cannot renege on a promise or an acceptance.
-	persist consensus.Persister
-
-	// reserved consults the cross-shard conflict table (see Config.Reserved).
-	reserved func(seq uint64) bool
-
-	// ring is a bounded ring of structured protocol events for post-mortem
-	// debugging (see DebugTrace), recorded only when SHARPER_TRACE is set —
-	// the formatting is not free on the benchmark hot path. The wall-clock
-	// stamp on each event lets a divergence hunt merge this ring with the
-	// cross-shard engine's (and other processes') into one timeline.
-	ring *obs.EventRing
-
-	// metrics, when configured, tracks engine health (view changes,
-	// straggler drops, instance-map size); nil-safe handles.
-	metrics *obs.EngineMetrics
-	// onPrepared fires when a proposal launched by this primary reaches its
-	// commit quorum — the intra-shard "prepared" lifecycle stamp.
-	onPrepared func(seq uint64)
+	*consensus.Log[votes, *votes]
 }
 
-// DebugTrace returns the recent protocol events (oldest first), rendered in
-// the historical SHARPER_TRACE line format.
-func (e *Engine) DebugTrace() []string { return e.ring.Lines() }
-
-// DebugEvents returns the recent protocol events in structured form.
-func (e *Engine) DebugEvents() []obs.Event { return e.ring.Events() }
-
-// preparedCand is one value owed to the chain by a deposed view. digest is
-// the batch digest the reporting quorum already verified for txs, carried
-// along so later re-reports need not recompute it.
-type preparedCand struct {
-	seq    uint64
-	view   uint64
-	digest types.Hash
-	txs    []*types.Transaction
+// votes is the per-slot Paxos vote record.
+type votes struct {
+	accepted map[types.NodeID]bool
+	sentCmt  bool
 }
 
-type instance struct {
-	digest types.Hash
-	parent types.Hash
-	txs    []*types.Transaction
-	// block is the batch as a chain block, built once when the body is
-	// known; its memoized Hash makes every later chain-walk relink cheap.
-	block     *types.Block
-	view      uint64
-	accepted  map[types.NodeID]bool
-	committed bool
-	sentCmt   bool
-	own       bool // proposed by this node (as primary)
-	deadline  time.Time
-	// durableView/durableDigest track what PersistAccept last recorded for
-	// this slot, so duplicate deliveries do not rewrite the log.
-	durable       bool
-	durableView   uint64
-	durableDigest types.Hash
-}
+func (v *votes) Reset()                                      { *v = votes{accepted: make(map[types.NodeID]bool)} }
+func (v *votes) Vote(n types.NodeID, _ types.Hash, _ []byte) { v.accepted[n] = true }
+
+// Proof is nil: crash-only acceptors report every acceptance uncertified.
+func (v *votes) Proof(types.Hash) []types.VoteProof { return nil }
+
+// Bound is false: a commit that raced ahead of its accept marks the slot
+// committed directly.
+func (v *votes) Bound(int) bool { return false }
 
 // Config parametrizes an Engine.
 type Config struct {
@@ -167,339 +75,35 @@ func New(cfg Config, genesis types.Hash) *Engine {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 500 * time.Millisecond
 	}
-	return &Engine{
-		topo:          cfg.Topology,
-		cluster:       cfg.Cluster,
-		self:          cfg.Self,
-		proposedHead:  genesis,
-		committedHead: genesis,
-		instances:     make(map[uint64]*instance),
-		delivered:     make(map[uint64]bool),
-		parked:        make(map[uint64]*types.Envelope),
-		vcVotes:       make(map[uint64]map[types.NodeID]*types.ViewChange),
-		timeout:       cfg.Timeout,
-		persist:       cfg.Persist,
-		reserved:      cfg.Reserved,
-		ring:          obs.NewEventRing(0, os.Getenv("SHARPER_TRACE") != ""),
-		metrics:       cfg.Obs,
-		onPrepared:    cfg.OnPrepared,
-	}
-}
-
-// slotReserved reports whether the cross-shard engine holds this node's vote
-// for the chain slot.
-func (e *Engine) slotReserved(seq uint64) bool {
-	return e.reserved != nil && e.reserved(seq)
-}
-
-// persistAccept records the instance's current binding if it changed since
-// the last record for this slot. False means the record did not reach
-// stable storage and the caller must withhold the acceptance (the durable
-// marker stays clear, so the next delivery retries).
-func (e *Engine) persistAccept(seq uint64, inst *instance) bool {
-	if e.persist == nil || len(inst.txs) == 0 {
-		return true
-	}
-	if inst.durable && inst.durableView == inst.view && inst.durableDigest == inst.digest {
-		return true
-	}
-	if err := e.persist.PersistAccept(seq, inst.view, inst.parent, inst.digest, inst.txs); err != nil {
-		return false
-	}
-	inst.durable = true
-	inst.durableView = inst.view
-	inst.durableDigest = inst.digest
-	return true
-}
-
-// persistViewState records the engine's view position; false withholds the
-// dependent message.
-func (e *Engine) persistViewState() bool {
-	if e.persist == nil {
-		return true
-	}
-	return e.persist.PersistView(e.view, e.promised) == nil
-}
-
-// Restore warms a freshly built engine from recovered durable state: the
-// view position and every acceptance the node had taken on. Call it once,
-// after SyncChainHead has advanced the engine to the recovered chain head
-// and before the node starts processing messages.
-func (e *Engine) Restore(view, promised uint64, insts []consensus.DurableInstance, now time.Time) {
-	if view > e.view {
-		e.view = view
-	}
-	if promised > e.promised {
-		e.promised = promised
-	}
-	for _, d := range insts {
-		if d.Seq <= e.committedSeq || len(d.Txs) == 0 {
-			continue
-		}
-		e.instances[d.Seq] = &instance{
-			digest:   d.Digest,
-			parent:   d.Parent,
-			txs:      d.Txs,
-			block:    &types.Block{Txs: d.Txs, Parents: []types.Hash{d.Parent}},
-			view:     d.View,
-			accepted: map[types.NodeID]bool{e.self: true},
-			deadline: now.Add(e.timeout),
-			durable:  true, durableView: d.View, durableDigest: d.Digest,
-		}
-	}
-	// Restored acceptances occupy their pipeline slots: walk the proposal
-	// chain over the contiguous run above the committed head (the same
-	// relink SyncChainHead does) so a restarted primary's next Propose
-	// cannot allocate — and overwrite — a slot it had already accepted a
-	// value in.
-	expect := e.proposedHead
-	for s := e.proposedSeq + 1; ; s++ {
-		inst, ok := e.instances[s]
-		if !ok || len(inst.txs) == 0 || inst.parent != expect {
-			break
-		}
-		bh := inst.block.Hash()
-		e.proposedSeq = s
-		e.proposedHead = bh
-		expect = bh
-	}
-	e.ring.Recordf("restore", e.proposedSeq, types.ZeroHash,
-		"v=%d promised=%d committed=%d accepted=%d", e.view, e.promised, e.committedSeq, len(insts))
-}
-
-// DurableState reports the engine state a checkpoint must carry forward
-// into a fresh log segment: the view position and every
-// accepted-but-uncommitted value (including recovered values not yet
-// re-proposed, which are acceptor obligations all the same).
-func (e *Engine) DurableState() (view, promised uint64, insts []consensus.DurableInstance) {
-	for seq, inst := range e.instances {
-		if seq > e.committedSeq && len(inst.txs) > 0 {
-			insts = append(insts, consensus.DurableInstance{
-				Seq: seq, View: inst.view, Parent: inst.parent, Digest: inst.digest, Txs: inst.txs,
-			})
-		}
-	}
-	for _, c := range e.pendingRepropose {
-		if c.seq > e.committedSeq {
-			insts = append(insts, consensus.DurableInstance{
-				Seq: c.seq, View: c.view, Digest: c.digest, Txs: c.txs,
-			})
-		}
-	}
-	return e.view, e.promised, insts
-}
-
-// View returns the current view.
-func (e *Engine) View() uint64 { return e.view }
-
-// Primary returns the current primary of the cluster.
-func (e *Engine) Primary() types.NodeID { return e.topo.Primary(e.cluster, e.view) }
-
-// IsPrimary reports whether this node leads the current view.
-func (e *Engine) IsPrimary() bool { return e.Primary() == e.self }
-
-// ProposedHead returns the hash of the last block this node has proposed
-// (primary) or committed (backup) — the h_i the cluster contributes to
-// cross-shard proposals.
-func (e *Engine) ProposedHead() (uint64, types.Hash) { return e.proposedSeq, e.proposedHead }
-
-// SyncChainHead advances the proposal chain past a block decided outside
-// this engine (a cross-shard block committed by the flattened protocol
-// shares the cluster's chain). The runtime calls it after appending such a
-// block so subsequent intra-shard proposals chain to it. In-flight
-// proposals that no longer extend the chain are discarded — their clients
-// retransmit — and out-of-order proposals parked earlier are retried; any
-// resulting outbound messages are returned.
-func (e *Engine) SyncChainHead(seq uint64, head types.Hash, now time.Time) ([]consensus.Outbound, []consensus.Decision, []*types.Transaction) {
-	if seq <= e.committedSeq {
-		// Stale: the engine has already committed past (or to) this height,
-		// so the caller's chain is catching up to knowledge the engine
-		// holds. Rewinding the proposal chain here would discard
-		// accepted-but-uncommitted instances above seq — acceptances other
-		// nodes may have counted toward commit quorums — and a node whose
-		// erased acceptance later lets it vote a cross-shard block into one
-		// of those slots forks the cluster.
-		e.ring.Recordf("sync-head-stale", seq, types.ZeroHash, "c=%d p=%d", e.committedSeq, e.proposedSeq)
-		return nil, nil, nil
-	}
-	e.ring.Recordf("sync-head", seq, head, "was c=%d p=%d parked=%d",
-		e.committedSeq, e.proposedSeq, len(e.parked))
-	e.proposedSeq = seq
-	e.proposedHead = head
-	e.committedSeq = seq
-	e.committedHead = head
-	// Slots at or below the new head are decided; their instances are
-	// stale. This node's own uncommitted proposals among them are handed
-	// back for re-proposal (the runtime dedups against the chain).
-	var orphans []*types.Transaction
-	for s, inst := range e.instances {
-		if s <= seq {
-			if inst.own && !inst.committed {
-				orphans = append(orphans, inst.txs...)
-			}
-			delete(e.instances, s)
-		}
-	}
-	// Instances ABOVE the new head survive if they still chain onto it: a
-	// synced block is often exactly the parent an accepted-but-uncommitted
-	// proposal was built on (the replica missed the commit, not the value),
-	// and wiping such an acceptance is unsafe — the primary counted it, so
-	// the slot may already be committed elsewhere, while this replica would
-	// report itself drained and vote a cross-shard block into that slot.
-	// Walk upward re-linking; everything past the first break is dead
-	// pipeline (it chained through a block that lost the slot race).
-	expect := head
-	for s := seq + 1; ; s++ {
-		inst, ok := e.instances[s]
-		if !ok || len(inst.txs) == 0 || inst.parent != expect {
-			break
-		}
-		bh := inst.block.Hash()
-		e.proposedSeq = s
-		e.proposedHead = bh
-		expect = bh
-	}
-	for s, inst := range e.instances {
-		// Committed instances above the walk are kept: the cluster bound
-		// those slots; chain sync will deliver or supersede them.
-		if s > e.proposedSeq && !inst.committed {
-			if inst.own {
-				orphans = append(orphans, inst.txs...)
-			}
-			delete(e.instances, s)
-		}
-	}
-	for s := range e.parked {
-		if s <= seq {
-			delete(e.parked, s)
-		}
-	}
-	out, decs := e.retryParked(now)
-	// The synced block may have satisfied the recovery barrier.
-	out = append(out, e.drainRepropose(now)...)
-	return out, decs, orphans
-}
-
-// HasUncommitted reports whether any consensus instance with a known body
-// sits above the committed head — accepted-but-uncommitted, or committed
-// above a gap. The cross-shard protocol must not treat the chain as drained
-// while such a slot exists: its value may already hold a commit quorum
-// elsewhere, and a cross-shard block voted on the current head would fork
-// the chain against it.
-func (e *Engine) HasUncommitted() bool {
-	for seq, inst := range e.instances {
-		if seq <= e.committedSeq {
-			continue
-		}
-		// A bodyless committed instance (a commit that raced ahead of its
-		// accept) counts too: the slot is known bound even though the value
-		// has not arrived yet.
-		if inst.committed || len(inst.txs) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// retryParked replays parked accepts that may now extend the chain. The
-// decisions it surfaces MUST reach the caller: a parked proposal whose
-// commit raced ahead delivers the moment its body is accepted, and dropping
-// that decision leaves the engine's committed state ahead of the ledger —
-// the desync behind a whole class of intra/cross forks (the chain heals by
-// sync, the backward head reset erases live acceptances, and the node votes
-// a cross-shard block into a slot it had already promised to intra).
-func (e *Engine) retryParked(now time.Time) ([]consensus.Outbound, []consensus.Decision) {
-	var out []consensus.Outbound
-	var decs []consensus.Decision
-	for {
-		if e.slotReserved(e.proposedSeq + 1) {
-			return out, decs // the slot is promised to a cross-shard vote
-		}
-		env, ok := e.parked[e.proposedSeq+1]
-		if !ok {
-			return out, decs
-		}
-		delete(e.parked, e.proposedSeq+1)
-		o, d := e.onAccept(env, now)
-		out = append(out, o...)
-		decs = append(decs, d...)
-		if len(o) == 0 {
-			return out, decs // still not acceptable; avoid spinning
-		}
-	}
+	e := &Engine{}
+	e.Log = consensus.NewLog[votes](consensus.LogConfig{
+		Topology: cfg.Topology, Cluster: cfg.Cluster, Self: cfg.Self, Timeout: cfg.Timeout,
+		Persist: cfg.Persist, Reserved: cfg.Reserved, Obs: cfg.Obs, OnPrepared: cfg.OnPrepared,
+		Replay: e.onAccept, Repropose: e.Propose,
+	}, genesis)
+	return e
 }
 
 // Propose starts consensus on a batch of transactions. Only the current
 // primary may call it. It returns the accept multicast and the assigned
 // sequence; the whole batch occupies one consensus instance and one block.
 func (e *Engine) Propose(txs []*types.Transaction, now time.Time) ([]consensus.Outbound, uint64) {
-	if !e.IsPrimary() || e.viewChanging || len(txs) == 0 {
+	seq, s := e.Open(txs, now)
+	if s == nil {
 		return nil, 0
 	}
-	// A fresh primary first replays what the deposed view owed the chain
-	// (and catches up to any commit a view-change voter reported); new
-	// client batches wait so they cannot steal a possibly-committed slot.
-	if e.committedSeq < e.reproposeBarrier || len(e.pendingRepropose) > 0 {
-		return nil, 0
-	}
-	seq := e.proposedSeq + 1
-	if e.slotReserved(seq) {
-		// The cross-shard engine holds this node's vote for the slot; the
-		// batch stays queued until the reservation resolves.
-		return nil, 0
-	}
-	parent := e.proposedHead
-	block := &types.Block{Txs: txs, Parents: []types.Hash{parent}}
-	digest := block.BatchDigest()
-	if prev, ok := e.instances[seq]; ok {
-		if prev.committed {
-			// The slot is already bound (a commit raced ahead of its
-			// accept): proposing over it would erase that knowledge. Chain
-			// sync delivers or supersedes it; the batch stays queued.
-			return nil, 0
-		}
-		if len(prev.txs) > 0 && prev.view == e.view && prev.digest != digest {
-			// This node already accepted a different value for the slot in
-			// THIS view (a restored acceptance whose parent did not link
-			// into the proposal walk): binding a second value at the same
-			// (view, seq) is equivocation. A higher view's recovery may
-			// overwrite it; the same view may not.
-			return nil, 0
-		}
-	}
-
-	inst := &instance{
-		digest:   digest,
-		parent:   parent,
-		txs:      txs,
-		block:    block,
-		view:     e.view,
-		accepted: map[types.NodeID]bool{e.self: true}, // primary counts itself
-		own:      true,
-		deadline: now.Add(e.timeout),
-	}
-	// The primary's self-acceptance counts toward the commit quorum, so it
-	// must be just as durable as a backup's — and refused (batch back to
-	// the queue) when storage cannot record it.
-	if !e.persistAccept(seq, inst) {
-		return nil, 0
-	}
-	e.instances[seq] = inst
-	e.proposedSeq = seq
-	e.proposedHead = block.Hash()
-	e.ring.Recordf("propose", seq, digest, "v=%d tx0=%s", e.view, txs[0].ID)
-
+	s.Votes.accepted[e.Self] = true // the primary counts itself
 	msg := &types.ConsensusMsg{
-		View:       e.view,
+		View:       s.View,
 		Seq:        seq,
-		Digest:     digest,
-		Cluster:    e.cluster,
-		PrevHashes: []types.Hash{parent},
+		Digest:     s.Digest,
+		Cluster:    e.Cluster,
+		PrevHashes: s.Block.Parents,
 		Txs:        txs,
 	}
 	out := consensus.Outbound{
-		To:  others(e.topo.Members(e.cluster), e.self),
-		Env: &types.Envelope{Type: types.MsgPaxosAccept, From: e.self, Payload: msg.Encode(nil)},
+		To:  e.Peers(),
+		Env: &types.Envelope{Type: types.MsgPaxosAccept, From: e.Self, Payload: msg.Encode(nil)},
 	}
 	return []consensus.Outbound{out}, seq
 }
@@ -508,7 +112,7 @@ func (e *Engine) Propose(txs []*types.Transaction, now time.Time) ([]consensus.O
 // decisions that became deliverable (in sequence order).
 func (e *Engine) Step(env *types.Envelope, now time.Time) ([]consensus.Outbound, []consensus.Decision) {
 	outs, decs := e.step(env, now)
-	e.metrics.InstGauge().Set(uint64(len(e.instances)))
+	e.ReportSlots()
 	return outs, decs
 }
 
@@ -523,7 +127,7 @@ func (e *Engine) step(env *types.Envelope, now time.Time) ([]consensus.Outbound,
 	case types.MsgViewChange:
 		return e.onViewChange(env, now)
 	case types.MsgNewView:
-		return e.onNewView(env, now)
+		return e.OnNewView(env, now)
 	default:
 		return nil, nil
 	}
@@ -531,96 +135,38 @@ func (e *Engine) step(env *types.Envelope, now time.Time) ([]consensus.Outbound,
 
 func (e *Engine) onAccept(env *types.Envelope, now time.Time) ([]consensus.Outbound, []consensus.Decision) {
 	m, err := types.DecodeConsensusMsg(env.Payload)
-	if err != nil || len(m.Txs) == 0 {
+	if err != nil || len(m.Txs) == 0 || len(m.PrevHashes) != 1 {
 		return nil, nil
 	}
 	// Only the primary of the message's view may propose, and only at or
 	// above the view this node has promised.
-	if env.From != e.topo.Primary(e.cluster, m.View) || m.View < e.view || m.View < e.promised {
+	if env.From != e.Topo.Primary(e.Cluster, m.View) || m.View < e.View() || m.View < e.Promised() {
 		return nil, nil
 	}
-	if m.View > e.view {
+	if m.View > e.View() {
 		// We lag behind a view change; adopt the higher view.
-		e.installView(m.View, now)
+		e.InstallView(m.View, now)
 	}
-	// Proposals must extend our chain in order: seq proposedSeq+1 with the
-	// parent equal to our proposed head. Later proposals park until the gap
-	// fills (out-of-order delivery or a cross-shard block in between);
-	// earlier or non-extending ones are stale and ignored.
-	switch {
-	case m.Seq == e.proposedSeq && m.PrevHashes[0] == e.instanceParent(m.Seq) && e.instances[m.Seq] != nil:
-		// Duplicate of the current in-flight proposal: re-ack below.
-	case m.Seq != e.proposedSeq+1:
-		if m.Seq > e.proposedSeq+1 {
-			e.parked[m.Seq] = env
-		}
-		return nil, nil
-	case m.PrevHashes[0] != e.proposedHead:
-		return nil, nil // does not extend our chain (stale across a cross-shard commit)
-	}
-	if e.slotReserved(m.Seq) {
-		// This node's cross-shard vote has promised the slot away (§3.2);
-		// acknowledging an intra-shard binding there would vote twice at one
-		// height. Park the proposal: it retries when the reservation clears
-		// (cross commit advancing the chain, or abort/expiry via Tick).
-		e.ring.Recordf("reserve-park", m.Seq, m.Digest, "v=%d", m.View)
-		e.parked[m.Seq] = env
+	s := e.Bind(env, m, &types.Block{Txs: m.Txs, Parents: m.PrevHashes}, now)
+	if s == nil {
 		return nil, nil
 	}
-	inst, ok := e.instances[m.Seq]
-	if !ok {
-		inst = &instance{accepted: make(map[types.NodeID]bool)}
-		e.instances[m.Seq] = inst
-	}
-	if inst.committed && inst.digest != m.Digest {
-		// We know this slot committed with a different value (awaiting the
-		// gap below it); a conflicting re-proposal must not overwrite it.
-		return nil, nil
-	}
-	if inst.view != m.View {
-		// A retained instance from a deposed view is overwritten by the new
-		// view's proposal; its old votes must not leak into the new binding.
-		inst.accepted = map[types.NodeID]bool{}
-		inst.sentCmt = false
-		inst.own = false
-	}
-	inst.digest = m.Digest
-	inst.parent = m.PrevHashes[0]
-	inst.txs = m.Txs
-	inst.block = &types.Block{Txs: m.Txs, Parents: []types.Hash{inst.parent}}
-	inst.view = m.View
-	inst.deadline = now.Add(e.timeout)
-	e.ring.Recordf("accept", m.Seq, m.Digest, "v=%d tx0=%s", m.View, m.Txs[0].ID)
-	if m.Seq > e.proposedSeq {
-		e.proposedSeq = m.Seq
-		e.proposedHead = inst.block.Hash()
-	}
-
 	// Persist the acceptance before the ack leaves: the primary will count
 	// it toward a commit quorum, so this node must still report it after a
 	// restart (view-change value recovery). Unpersistable ⇒ no ack.
-	if !e.persistAccept(m.Seq, inst) {
+	if !e.PersistAccept(m.Seq, s) {
 		return nil, nil
 	}
-	reply := &types.ConsensusMsg{View: m.View, Seq: m.Seq, Digest: m.Digest, Cluster: e.cluster}
+	reply := &types.ConsensusMsg{View: m.View, Seq: m.Seq, Digest: m.Digest, Cluster: e.Cluster}
 	out := []consensus.Outbound{{
 		To:  []types.NodeID{env.From},
-		Env: &types.Envelope{Type: types.MsgPaxosAccepted, From: e.self, Payload: reply.Encode(nil)},
+		Env: &types.Envelope{Type: types.MsgPaxosAccepted, From: e.Self, Payload: reply.Encode(nil)},
 	}}
 	// A commit may have arrived before this proposal (network reordering):
 	// now that the transaction body is known, the decision can deliver.
-	decs := e.advance()
-	o2, d2 := e.retryParked(now)
+	decs := e.Advance()
+	o2, d2 := e.RetryParked(now)
 	return append(out, o2...), append(decs, d2...)
-}
-
-// instanceParent returns the parent hash of the in-flight instance at seq,
-// or the zero hash if unknown.
-func (e *Engine) instanceParent(seq uint64) types.Hash {
-	if inst, ok := e.instances[seq]; ok {
-		return inst.parent
-	}
-	return types.ZeroHash
 }
 
 func (e *Engine) onAccepted(env *types.Envelope) ([]consensus.Outbound, []consensus.Decision) {
@@ -628,32 +174,32 @@ func (e *Engine) onAccepted(env *types.Envelope) ([]consensus.Outbound, []consen
 	if err != nil {
 		return nil, nil
 	}
-	inst, ok := e.instances[m.Seq]
-	if !ok || inst.view != m.View || inst.digest != m.Digest || inst.sentCmt {
+	s := e.Slot(m.Seq)
+	if s == nil || s.View != m.View || s.Digest != m.Digest || s.Votes.sentCmt {
 		return nil, nil
 	}
-	if !e.IsPrimary() || e.viewChanging || m.View < e.promised {
+	if !e.IsPrimary() || e.ViewChanging() || m.View < e.Promised() {
 		// A primary that joined a view change has promised not to commit in
 		// the old view: late accepteds must not complete its quorums.
 		return nil, nil
 	}
-	inst.accepted[env.From] = true
-	if len(inst.accepted) < e.topo.F(e.cluster)+1 {
+	s.Votes.accepted[env.From] = true
+	if len(s.Votes.accepted) < e.Topo.F(e.Cluster)+1 {
 		return nil, nil
 	}
 	// Quorum: multicast commit and decide locally.
-	inst.sentCmt = true
-	inst.committed = true
-	e.ring.Recordf("commit-quorum", m.Seq, inst.digest, "v=%d acc=%d", inst.view, len(inst.accepted))
-	if e.onPrepared != nil && inst.own {
-		e.onPrepared(m.Seq)
+	s.Votes.sentCmt = true
+	s.Committed = true
+	e.Ring.Recordf("commit-quorum", m.Seq, s.Digest, "v=%d acc=%d", s.View, len(s.Votes.accepted))
+	if e.OnPrepared != nil && s.Own {
+		e.OnPrepared(m.Seq)
 	}
-	cm := &types.ConsensusMsg{View: inst.view, Seq: m.Seq, Digest: inst.digest, Cluster: e.cluster}
+	cm := &types.ConsensusMsg{View: s.View, Seq: m.Seq, Digest: s.Digest, Cluster: e.Cluster}
 	out := []consensus.Outbound{{
-		To:  others(e.topo.Members(e.cluster), e.self),
-		Env: &types.Envelope{Type: types.MsgPaxosCommit, From: e.self, Payload: cm.Encode(nil)},
+		To:  e.Peers(),
+		Env: &types.Envelope{Type: types.MsgPaxosCommit, From: e.Self, Payload: cm.Encode(nil)},
 	}}
-	return out, e.advance()
+	return out, e.Advance()
 }
 
 func (e *Engine) onCommit(env *types.Envelope) ([]consensus.Outbound, []consensus.Decision) {
@@ -661,313 +207,36 @@ func (e *Engine) onCommit(env *types.Envelope) ([]consensus.Outbound, []consensu
 	if err != nil {
 		return nil, nil
 	}
-	if env.From != e.topo.Primary(e.cluster, m.View) {
+	if env.From != e.Topo.Primary(e.Cluster, m.View) {
 		return nil, nil
 	}
-	if m.Seq <= e.committedSeq {
-		// The slot is already delivered; a straggler commit must not
-		// resurrect its deleted instance (see pbft.Engine.onPrepare — the
-		// zombie would linger in e.instances and tax every Tick and
-		// HasUncommitted sweep).
-		e.metrics.Stragglers().Inc()
+	// A commit that raced ahead of its accept is remembered until the
+	// accept brings the body.
+	s := e.VoteSlot(m.Seq)
+	if s == nil {
 		return nil, nil
 	}
-	inst, ok := e.instances[m.Seq]
-	if !ok {
-		// Commit raced ahead of accept; remember it and wait for the accept.
-		inst = &instance{accepted: make(map[types.NodeID]bool)}
-		e.instances[m.Seq] = inst
+	if s.Digest.IsZero() {
+		s.Digest = m.Digest
 	}
-	if inst.digest.IsZero() {
-		inst.digest = m.Digest
-	}
-	if inst.digest != m.Digest {
+	if s.Digest != m.Digest {
 		// A stale commit from a deposed view must not commit the slot's new
 		// binding (nor may a buffered commit accept a different body later).
 		return nil, nil
 	}
-	inst.committed = true
-	e.ring.Recordf("commit-msg", m.Seq, m.Digest, "v=%d from=%s", m.View, env.From)
-	return nil, e.advance()
+	s.Committed = true
+	e.Ring.Recordf("commit-msg", m.Seq, m.Digest, "v=%d from=%s", m.View, env.From)
+	return nil, e.Advance()
 }
 
-// advance drains committed instances in sequence order into decisions.
-func (e *Engine) advance() []consensus.Decision {
-	var out []consensus.Decision
-	for {
-		seq := e.committedSeq + 1
-		inst, ok := e.instances[seq]
-		if !ok || !inst.committed || len(inst.txs) == 0 || e.delivered[seq] {
-			return out
-		}
-		block := inst.block
-		e.delivered[seq] = true
-		e.committedSeq = seq
-		e.committedHead = block.Hash()
-		e.ring.Recordf("deliver", seq, inst.digest, "")
-		out = append(out, consensus.Decision{Block: block, Seq: seq})
-		delete(e.instances, seq)
-		e.metrics.InstGauge().Set(uint64(len(e.instances)))
-	}
-}
-
-// Tick fires proposal timeouts: a backup with an instance past its deadline
-// suspects the primary and votes for the next view. A fresh primary uses the
-// tick to retry its recovery obligations once chain sync catches it up. A
-// node stuck mid-view-change past its deadline escalates to the next view —
-// the candidate primary may be dead too.
-func (e *Engine) Tick(now time.Time) ([]consensus.Outbound, []consensus.Decision) {
-	if e.viewChanging {
-		if now.After(e.vcDeadline) {
-			next := e.promised + 1
-			e.ring.Recordf("vc-escalate", 0, types.ZeroHash, "nv=%d", next)
-			return e.startViewChange(next, now), nil
-		}
-		return nil, nil
-	}
-	// A slot reservation released without a chain advance (cross-shard abort
-	// or expiry) leaves reserve-parked proposals with no other retry path.
-	out, decs := e.retryParked(now)
-	if e.IsPrimary() {
-		return append(out, e.drainRepropose(now)...), decs
-	}
-	expired := false
-	for seq, inst := range e.instances {
-		if seq > e.committedSeq && !inst.committed && len(inst.txs) > 0 && now.After(inst.deadline) {
-			expired = true
-			break
-		}
-	}
-	if !expired {
-		return out, decs
-	}
-	return append(out, e.startViewChange(e.view+1, now)...), decs
-}
-
-func (e *Engine) startViewChange(newView uint64, now time.Time) []consensus.Outbound {
-	e.viewChanging = true
-	// Give the candidate primary two full windows to assemble the new view
-	// before escalating past it.
-	e.vcDeadline = now.Add(2 * e.timeout)
-	if newView > e.promised {
-		e.promised = newView
-	}
-	// The promise must hit stable storage before the vote leaves: a
-	// restarted node that forgot it could accept proposals from the deposed
-	// view, invisible to the new view's value recovery. Unpersistable ⇒ no
-	// vote (the escalation timer retries).
-	if !e.persistViewState() {
-		return nil
-	}
-	vc := &types.ViewChange{
-		NewView:  newView,
-		Cluster:  e.cluster,
-		LastSeq:  e.committedSeq,
-		LastHash: e.committedHead,
-	}
-	// Report every uncommitted accepted instance — with its body — so the
-	// new primary can re-propose the values (Paxos phase-1 value recovery,
-	// collapsed because crash-only nodes never lie). Any value that reached
-	// a commit quorum at the deposed primary was accepted by at least one
-	// member of every view-change quorum, so it is always reported.
-	// Committed-but-undelivered instances (a commit observed above a gap)
-	// are reported too: they are bound slots the new primary must respect.
-	reported := make(map[uint64]bool)
-	for seq, inst := range e.instances {
-		if seq > e.committedSeq && len(inst.txs) > 0 {
-			vc.Prepared = append(vc.Prepared, types.PreparedInstance{
-				Seq: seq, View: inst.view, Digest: inst.digest, Txs: inst.txs,
-			})
-			reported[seq] = true
-			if seq > vc.PreparedSeq {
-				vc.PreparedSeq = seq
-				vc.PreparedHash = inst.digest
-			}
-		}
-	}
-	// Values this node recovered as primary but had not re-proposed yet
-	// live only in pendingRepropose; they must survive into the next view's
-	// recovery as well, or a twice-deposed value could lose its slot.
-	for _, c := range e.pendingRepropose {
-		if c.seq > e.committedSeq && !reported[c.seq] {
-			vc.Prepared = append(vc.Prepared, types.PreparedInstance{
-				Seq: c.seq, View: c.view, Digest: c.digest, Txs: c.txs,
-			})
-		}
-	}
-	e.recordViewChange(e.self, vc)
-	e.ring.Recordf("vc-vote", vc.LastSeq, types.ZeroHash, "nv=%d prepared=%d", newView, len(vc.Prepared))
-	env := &types.Envelope{Type: types.MsgViewChange, From: e.self, Payload: vc.Encode(nil)}
-	return []consensus.Outbound{{To: others(e.topo.Members(e.cluster), e.self), Env: env}}
-}
-
-func (e *Engine) recordViewChange(from types.NodeID, vc *types.ViewChange) {
-	m, ok := e.vcVotes[vc.NewView]
-	if !ok {
-		m = make(map[types.NodeID]*types.ViewChange)
-		e.vcVotes[vc.NewView] = m
-	}
-	m[from] = vc
-}
-
+// onViewChange applies the crash-model view-change policy: join as soon as
+// anyone credible started the change (crash-only nodes don't need f+1
+// proof); the would-be primary leads with f+1 votes (itself included); and
+// the catch-up barrier is the highest commit any voter reports.
 func (e *Engine) onViewChange(env *types.Envelope, now time.Time) ([]consensus.Outbound, []consensus.Decision) {
-	vc, err := types.DecodeViewChange(env.Payload)
-	if err != nil || vc.NewView <= e.view || vc.Cluster != e.cluster {
-		return nil, nil
-	}
-	e.recordViewChange(env.From, vc)
-
-	var out []consensus.Outbound
-	// Join the view change once anyone credible started it (we are behind
-	// or our timer fired too); crash-only nodes don't need f+1 proof.
-	if !e.viewChanging {
-		out = append(out, e.startViewChange(vc.NewView, now)...)
-	}
-	// The would-be primary of newView collects f+1 votes (incl. itself) and
-	// announces the new view.
-	if e.topo.Primary(e.cluster, vc.NewView) != e.self {
+	out, votes := e.OnViewChange(env, now, 1, e.Topo.F(e.Cluster)+1)
+	if votes == nil {
 		return out, nil
 	}
-	votes := e.vcVotes[vc.NewView]
-	if len(votes) < e.topo.F(e.cluster)+1 {
-		return out, nil
-	}
-	nv := &types.ViewChange{NewView: vc.NewView, Cluster: e.cluster,
-		LastSeq: e.committedSeq, LastHash: e.committedHead}
-	env2 := &types.Envelope{Type: types.MsgNewView, From: e.self, Payload: nv.Encode(nil)}
-	out = append(out, consensus.Outbound{To: others(e.topo.Members(e.cluster), e.self), Env: env2})
-	e.adoptRecovery(votes)
-	e.installView(vc.NewView, now)
-	out = append(out, e.drainRepropose(now)...)
-	return out, nil
-}
-
-// adoptRecovery digests the view-change quorum's reports into the new
-// primary's obligations: the commit level it must reach before proposing
-// (reproposeBarrier, satisfied by chain sync) and the accepted values it
-// must re-bind first (pendingRepropose, ascending, highest accept-view wins
-// per slot).
-func (e *Engine) adoptRecovery(votes map[types.NodeID]*types.ViewChange) {
-	maxLast := e.committedSeq
-	cands := make(map[uint64]preparedCand)
-	for _, vc := range votes {
-		if vc.LastSeq > maxLast {
-			maxLast = vc.LastSeq
-		}
-		for _, p := range vc.Prepared {
-			if len(p.Txs) == 0 || types.BatchDigest(p.Txs) != p.Digest {
-				continue
-			}
-			if cur, ok := cands[p.Seq]; !ok || p.View > cur.view {
-				cands[p.Seq] = preparedCand{seq: p.Seq, view: p.View, digest: p.Digest, txs: p.Txs}
-			}
-		}
-	}
-	e.reproposeBarrier = maxLast
-	e.pendingRepropose = e.pendingRepropose[:0]
-	for _, c := range cands {
-		if c.seq > e.committedSeq {
-			e.pendingRepropose = append(e.pendingRepropose, c)
-		}
-	}
-	sort.Slice(e.pendingRepropose, func(i, j int) bool {
-		return e.pendingRepropose[i].seq < e.pendingRepropose[j].seq
-	})
-	e.ring.Recordf("adopt-recovery", e.reproposeBarrier, types.ZeroHash,
-		"pending=%d committed=%d", len(e.pendingRepropose), e.committedSeq)
-}
-
-// drainRepropose re-binds recovered values once the primary has caught up
-// to the barrier; slots already filled by synced blocks are skipped.
-func (e *Engine) drainRepropose(now time.Time) []consensus.Outbound {
-	if !e.IsPrimary() || e.viewChanging || e.committedSeq < e.reproposeBarrier || len(e.pendingRepropose) == 0 {
-		return nil
-	}
-	pending := e.pendingRepropose
-	e.pendingRepropose = nil
-	var out []consensus.Outbound
-	for _, c := range pending {
-		if c.seq <= e.committedSeq {
-			continue // chain sync already delivered this slot
-		}
-		o, _ := e.Propose(c.txs, now)
-		out = append(out, o...)
-	}
-	return out
-}
-
-func (e *Engine) onNewView(env *types.Envelope, now time.Time) ([]consensus.Outbound, []consensus.Decision) {
-	nv, err := types.DecodeViewChange(env.Payload)
-	if err != nil || nv.NewView < e.view || nv.Cluster != e.cluster {
-		return nil, nil
-	}
-	if env.From != e.topo.Primary(e.cluster, nv.NewView) {
-		return nil, nil
-	}
-	e.installView(nv.NewView, now)
-	return nil, nil
-}
-
-func (e *Engine) installView(v uint64, now time.Time) {
-	if v <= e.view {
-		e.viewChanging = false
-		return
-	}
-	e.view = v
-	e.viewChanging = false
-	e.metrics.VC().Inc()
-	// Best effort: the installed view is recoverable from peers (a higher
-	// view's first proposal re-installs it); the promise above is what
-	// safety rides on.
-	e.persistViewState()
-	e.ring.Recordf("install-view", e.committedSeq, types.ZeroHash, "v=%d", v)
-	// Reset the proposal chain to committed state. Uncommitted accepted
-	// instances are RETAINED: like Paxos acceptors, this node keeps the
-	// values it voted for so later view changes can still recover them (a
-	// value may hold a commit quorum at the deposed primary). Their timers
-	// restart so the new primary gets a full window to re-bind them; the
-	// new view's proposals overwrite them slot by slot.
-	e.proposedSeq = e.committedSeq
-	e.proposedHead = e.committedHead
-	for seq, inst := range e.instances {
-		if seq > e.committedSeq && !inst.committed {
-			inst.deadline = now.Add(e.timeout)
-		}
-	}
-	e.parked = make(map[uint64]*types.Envelope)
-}
-
-// others returns members minus self.
-func others(members []types.NodeID, self types.NodeID) []types.NodeID {
-	out := make([]types.NodeID, 0, len(members)-1)
-	for _, m := range members {
-		if m != self {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
-// DebugString renders internal engine state for test diagnostics.
-func (e *Engine) DebugString() string {
-	s := fmt.Sprintf("view=%d proposed=%d/%s committed=%d/%s vc=%v parked=%d",
-		e.view, e.proposedSeq, e.proposedHead, e.committedSeq, e.committedHead,
-		e.viewChanging, len(e.parked))
-	for seq, inst := range e.instances {
-		s += fmt.Sprintf(" inst[%d]{d=%s p=%s txs=%d v=%d acc=%d cmt=%v sc=%v}",
-			seq, inst.digest, inst.parent, len(inst.txs), inst.view,
-			len(inst.accepted), inst.committed, inst.sentCmt)
-	}
-	return s
-}
-
-// SuspectPrimary votes to depose the current primary. The runtime calls it
-// when a forwarded client request goes unexecuted past its timeout — the
-// PBFT rule that lets a cluster recover from a primary that fails while
-// holding no in-flight proposals.
-func (e *Engine) SuspectPrimary(now time.Time) []consensus.Outbound {
-	if e.IsPrimary() || e.viewChanging {
-		return nil
-	}
-	return e.startViewChange(e.view+1, now)
+	return append(out, e.LeadView(votes, 1, now)...), nil
 }

@@ -243,52 +243,6 @@ func TestSuspectPrimary(t *testing.T) {
 	h.tick(10 * time.Millisecond)
 }
 
-func TestSyncChainHeadResetsPipeline(t *testing.T) {
-	h := newHarness(t, 1)
-	var primary *Engine
-	for _, e := range h.engines {
-		if e.IsPrimary() {
-			primary = e
-		}
-	}
-	h.propose(tx(1))
-	// Primary pipelines seq 2 and 3; they never commit.
-	primary.Propose(batch(tx(2)), h.now)
-	primary.Propose(batch(tx(3)), h.now)
-	// An external (cross-shard) block takes seq 2.
-	external := types.HashBytes([]byte("cross-block"))
-	_, _, orphans := primary.SyncChainHead(2, external, h.now)
-	if len(orphans) != 2 {
-		t.Fatalf("%d orphans, want 2 (the dead pipeline)", len(orphans))
-	}
-	seq, head := primary.ProposedHead()
-	if seq != 2 || head != external {
-		t.Fatalf("pipeline not reset: seq=%d", seq)
-	}
-	// The next proposal chains to the external block at seq 3.
-	_, seq = primary.Propose(batch(tx(4)), h.now)
-	if seq != 3 {
-		t.Fatalf("next proposal at seq %d, want 3", seq)
-	}
-}
-
-func TestStaleProposalRejected(t *testing.T) {
-	h := newHarness(t, 1)
-	backup := h.topo.Members(0)[1]
-	// A proposal whose parent does not extend the backup's chain.
-	m := &types.ConsensusMsg{
-		View: 0, Seq: 1, Digest: types.BatchDigest(batch(tx(9))), Cluster: 0,
-		PrevHashes: []types.Hash{types.HashBytes([]byte("bogus"))},
-		Txs:        batch(tx(9)),
-	}
-	outs, decs := h.engines[backup].Step(&types.Envelope{
-		Type: types.MsgPaxosAccept, From: h.topo.Primary(0, 0), Payload: m.Encode(nil),
-	}, h.now)
-	if len(outs) != 0 || len(decs) != 0 {
-		t.Fatal("backup accepted a proposal that does not extend its chain")
-	}
-}
-
 func TestNonPrimaryProposalIgnored(t *testing.T) {
 	h := newHarness(t, 1)
 	backup := h.topo.Members(0)[2]
@@ -303,68 +257,6 @@ func TestNonPrimaryProposalIgnored(t *testing.T) {
 	}, h.now)
 	if len(outs) != 0 {
 		t.Fatal("proposal from a non-primary was answered")
-	}
-}
-
-func TestOutOfOrderDeliveryParksAndRecovers(t *testing.T) {
-	h := newHarness(t, 1)
-	var primary *Engine
-	for _, e := range h.engines {
-		if e.IsPrimary() {
-			primary = e
-		}
-	}
-	outs1, _ := primary.Propose(batch(tx(1)), h.now)
-	outs2, _ := primary.Propose(batch(tx(2)), h.now)
-	// Deliver proposal 2 before proposal 1 at one backup.
-	backup := h.topo.Members(0)[1]
-	for _, o := range append(outs2, outs1...) {
-		for _, to := range o.To {
-			if to != backup {
-				continue
-			}
-			replies, _ := h.engines[backup].Step(o.Env, h.now)
-			h.sendAll(replies)
-		}
-	}
-	h.pump()
-	seq, _ := h.engines[backup].ProposedHead()
-	if seq != 2 {
-		t.Fatalf("backup proposedSeq %d, want 2 (parked proposal replayed)", seq)
-	}
-}
-
-func TestCommitBeforeAcceptBuffered(t *testing.T) {
-	h := newHarness(t, 1)
-	var primary *Engine
-	for _, e := range h.engines {
-		if e.IsPrimary() {
-			primary = e
-		}
-	}
-	outs, _ := primary.Propose(batch(tx(1)), h.now)
-	backup := h.topo.Members(0)[1]
-
-	// Hand-build the commit the primary would send and deliver it BEFORE
-	// the accept at one backup (network reordering).
-	cm := &types.ConsensusMsg{View: 0, Seq: 1, Digest: types.BatchDigest(batch(tx(1))), Cluster: 0}
-	_, decs := h.engines[backup].Step(&types.Envelope{
-		Type: types.MsgPaxosCommit, From: primary.self, Payload: cm.Encode(nil),
-	}, h.now)
-	if len(decs) != 0 {
-		t.Fatal("decided without the transaction body")
-	}
-	// Now the accept arrives: the buffered commit completes the instance.
-	for _, o := range outs {
-		for _, to := range o.To {
-			if to != backup {
-				continue
-			}
-			_, decs = h.engines[backup].Step(o.Env, h.now)
-		}
-	}
-	if len(decs) != 1 || decs[0].Block.Txs[0].ID.Seq != 1 {
-		t.Fatalf("reordered commit+accept did not decide: %v", decs)
 	}
 }
 
