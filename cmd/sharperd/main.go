@@ -79,7 +79,6 @@ func main() {
 	dataDir := flag.String("data", "", "durable storage base directory (each replica uses DIR/node-<id>); a killed replica restarted with the same -data recovers in place")
 	syncPolicy := flag.String("sync", "group", "WAL fsync policy: none, group, or always")
 	lockTimeout := flag.Duration("lock-timeout", 0, "cross-shard lock expiry, the §3.2 'pre-determined time' (0 = default 3s); must dominate worst-case commit delivery in your environment")
-	serializeCross := flag.Bool("serialize-cross", false, "restore the legacy serialized cross-shard scheduler (whole-node lock, drain-gated initiation) for A/B comparison")
 	inlineCommit := flag.Bool("inline-commit", false, "restore the pre-pipeline synchronous commit path (apply, persist, and reply on the event loop) for A/B comparison")
 	gateway := flag.Bool("gateway", false, "issue the workload through the client-ingress plane (shard-routed submits into per-shard mempool gateways) instead of the direct request path; admission sheds are counted and printed")
 	slash := flag.Bool("slash", false, "arm the equivocation-detecting auditor on every replica; the driver and local modes print an offender report from the collected fraud proofs")
@@ -194,7 +193,6 @@ func main() {
 				DataDir:        *dataDir,
 				Sync:           sync,
 				LockTimeout:    *lockTimeout,
-				SerializeCross: *serializeCross,
 				InlineCommit:   *inlineCommit,
 				Slash:          *slash,
 				Ed25519:        *ed25519,
@@ -221,9 +219,9 @@ func main() {
 		Clusters: *clusters, F: *f, CrossPct: *cross, Clients: *clients,
 		Duration: *duration, Seed: *seed, Batch: *batch, ShowDAG: *showDAG,
 		Accounts: *accounts, Balance: *balance, TCP: *transportKind == "tcp",
-		DataDir: *dataDir, Sync: sync, SerializeCross: *serializeCross,
+		DataDir: *dataDir, Sync: sync,
 		InlineCommit: *inlineCommit,
-		Slash: *slash, Ed25519: *ed25519,
+		Slash:        *slash, Ed25519: *ed25519,
 		Multiregion: *shapeSpec == "multiregion", VerifyWindow: *verifyWindow,
 		Gateway: *gateway,
 	})
@@ -264,8 +262,6 @@ type replicaOptions struct {
 	Batch    int
 	Accounts int
 	Balance  int64
-	// SerializeCross restores the legacy serialized cross-shard scheduler.
-	SerializeCross bool
 	// InlineCommit restores the pre-pipeline synchronous commit path.
 	InlineCommit bool
 	// DataDir is the deployment's storage base directory; this replica
@@ -316,19 +312,18 @@ func runReplica(tf *TopologyFile, self types.NodeID, opts replicaOptions, stop <
 	defer fab.Close()
 
 	pcfg := core.ProcessConfig{
-		Topo:           tf.Topo,
-		Self:           self,
-		Fabric:         fab,
-		Seed:           opts.Seed,
-		BatchSize:      opts.Batch,
-		Sync:           opts.Sync,
-		LockTimeout:    opts.LockTimeout,
-		SerializeCross: opts.SerializeCross,
-		InlineCommit:   opts.InlineCommit,
-		Slash:          opts.Slash,
-		Ed25519:        opts.Ed25519,
-		VerifyWindow:   opts.VerifyWindow,
-		TraceSample:    opts.TraceSample,
+		Topo:         tf.Topo,
+		Self:         self,
+		Fabric:       fab,
+		Seed:         opts.Seed,
+		BatchSize:    opts.Batch,
+		Sync:         opts.Sync,
+		LockTimeout:  opts.LockTimeout,
+		InlineCommit: opts.InlineCommit,
+		Slash:        opts.Slash,
+		Ed25519:      opts.Ed25519,
+		VerifyWindow: opts.VerifyWindow,
+		TraceSample:  opts.TraceSample,
 	}
 	if opts.DataDir != "" {
 		pcfg.DataDir = core.NodeDataDir(opts.DataDir, self)
@@ -947,7 +942,6 @@ type localOptions struct {
 	TCP                            bool
 	DataDir                        string
 	Sync                           storage.SyncPolicy
-	SerializeCross                 bool
 	InlineCommit                   bool
 	Slash                          bool
 	Ed25519                        bool
@@ -984,7 +978,6 @@ func runLocal(fm sharper.FailureModel, opts localOptions) {
 		InitialBalance:   opts.Balance,
 		DataDir:          opts.DataDir,
 		Sync:             opts.Sync,
-		SerializeCross:   opts.SerializeCross,
 		InlineCommit:     opts.InlineCommit,
 		Slash:            opts.Slash,
 		Ed25519:          opts.Ed25519,

@@ -632,17 +632,14 @@ func AblationHotpath(w io.Writer, o FigureOptions) []HotpathResult {
 	return results
 }
 
-// CrossParallelResult is one point of the cross-shard scheduling ablation,
+// CrossParallelResult is one point of the cross-shard scheduling figure,
 // shaped for the machine-readable BENCH_crossparallel.json that tracks the
-// conflict-aware scheduler against the serialized one it replaced.
+// conflict-aware scheduler (conflict table, pipelined leads, slot-precise
+// deferral) across cross-heavy mixes.
 type CrossParallelResult struct {
 	// Workload names the mix: "intra", "cross50-disjoint",
-	// "cross90-disjoint", "cross90-overlap".
-	Workload string `json:"workload"`
-	// Scheduler is "serialized" (whole-node lock, drain-gated initiation,
-	// one lead) or "parallel" (conflict table, pipelined leads,
-	// slot-precise deferral).
-	Scheduler    string  `json:"scheduler"`
+	// "cross90-disjoint", "cross90-random", "cross90-overlap".
+	Workload     string  `json:"workload"`
 	BatchSize    int     `json:"batch_size"`
 	Clients      int     `json:"clients"`
 	ThroughputTx float64 `json:"tx_per_sec"`
@@ -658,19 +655,15 @@ type CrossParallelResult struct {
 	Withdraws     uint64 `json:"withdraws"`
 	DefersAvoided uint64 `json:"defers_avoided"`
 	SelfVoteWaits uint64 `json:"self_vote_waits"`
-	// Speedup is parallel/serialized throughput for the same workload
-	// (set on parallel rows once both measured).
-	Speedup float64 `json:"speedup_vs_serialized,omitempty"`
 	// Raw holds every rep's throughput (tx/s) behind the reported median.
 	Raw []float64 `json:"raw,omitempty"`
 }
 
 // AblationCrossParallel measures the conflict-aware cross-shard scheduler
-// against the serialized one on cross-heavy workloads (the regime Fig. 8's
-// parallelism claim is about): 50% and 90% cross-shard with cluster-disjoint
-// sets, 90% with overlapping sets (the contention-bound case, where little
-// improvement is possible by construction), and the intra-only workload as a
-// no-regression guard.
+// on cross-heavy workloads (the regime Fig. 8's parallelism claim is about):
+// 50% and 90% cross-shard with cluster-disjoint sets, 90% with random and
+// with overlapping sets (the contention-bound case), and the intra-only
+// workload as a no-regression guard.
 func AblationCrossParallel(w io.Writer, o FigureOptions) []CrossParallelResult {
 	o.fill()
 	const clusters, f = 4, 1
@@ -699,94 +692,82 @@ func AblationCrossParallel(w io.Writer, o FigureOptions) []CrossParallelResult {
 	}
 	var results []CrossParallelResult
 	var series []Series
-	serialized := make(map[string]float64) // workload → serialized tx/s
-	for _, sched := range []struct {
-		name      string
-		serialize bool
-	}{{"serialized", true}, {"parallel", false}} {
-		for _, wl := range workloads {
-			var runs []CrossParallelResult
-			for rep := 0; rep < reps; rep++ {
-				gen := workload.New(workload.Config{
-					Shards:           state.ShardMap{NumShards: clusters},
-					AccountsPerShard: o.AccountsPerShard,
-					CrossShardPct:    wl.crossPct,
-					ShardsPerCross:   2,
-					CrossSets:        wl.sets,
-					Amount:           1,
-					Seed:             o.Seed + int64(rep),
-				})
-				d, err := core.NewDeployment(core.Config{
-					Model: types.CrashOnly, Clusters: clusters, F: f,
-					Seed:      o.Seed + int64(rep),
-					BatchSize: bs, SerializeCross: sched.serialize, NoPersist: true,
-				})
-				if err != nil {
-					fmt.Fprintf(w, "# %s/%s: deployment failed: %v\n", sched.name, wl.name, err)
-					continue
-				}
-				d.SeedAccounts(o.AccountsPerShard, seedBalance)
-				d.Start()
-				sys := SharPerSystem{D: d}
-				startMsgs := d.Net.Stats().Delivered.Load()
-				startCommitted := d.TotalCommitted()
-				pt := Run(sys, gen, clients, o.bench())
-				msgs := d.Net.Stats().Delivered.Load() - startMsgs
-				committed := d.TotalCommitted() - startCommitted
-				sys.Stop() // counters are a quiesced read
-				var agg types.SchedStats
-				for _, n := range d.Nodes() {
-					agg.Add(n.Counters())
-				}
-				r := CrossParallelResult{
-					Workload:      wl.name,
-					Scheduler:     sched.name,
-					BatchSize:     bs,
-					Clients:       clients,
-					ThroughputTx:  pt.ThroughputTx,
-					AvgLatencyMs:  pt.AvgLatencyMs,
-					P99LatencyMs:  pt.P99LatencyMs,
-					Leads:         agg.LeadHighWater,
-					Parks:         agg.Parks,
-					Withdraws:     agg.Withdraws,
-					DefersAvoided: agg.DefersAvoided,
-					SelfVoteWaits: agg.SelfVoteWaits,
-				}
-				if committed > 0 {
-					r.MsgsPerTx = float64(msgs) / float64(committed)
-				}
-				runs = append(runs, r)
-			}
-			if len(runs) == 0 {
+	for _, wl := range workloads {
+		var runs []CrossParallelResult
+		for rep := 0; rep < reps; rep++ {
+			gen := workload.New(workload.Config{
+				Shards:           state.ShardMap{NumShards: clusters},
+				AccountsPerShard: o.AccountsPerShard,
+				CrossShardPct:    wl.crossPct,
+				ShardsPerCross:   2,
+				CrossSets:        wl.sets,
+				Amount:           1,
+				Seed:             o.Seed + int64(rep),
+			})
+			d, err := core.NewDeployment(core.Config{
+				Model: types.CrashOnly, Clusters: clusters, F: f,
+				Seed:      o.Seed + int64(rep),
+				BatchSize: bs, NoPersist: true,
+			})
+			if err != nil {
+				fmt.Fprintf(w, "# %s: deployment failed: %v\n", wl.name, err)
 				continue
 			}
-			sort.Slice(runs, func(i, j int) bool {
-				return runs[i].ThroughputTx < runs[j].ThroughputTx
-			})
-			raw := make([]float64, len(runs))
-			for i, run := range runs {
-				raw[i] = run.ThroughputTx
+			d.SeedAccounts(o.AccountsPerShard, seedBalance)
+			d.Start()
+			sys := SharPerSystem{D: d}
+			startMsgs := d.Net.Stats().Delivered.Load()
+			startCommitted := d.TotalCommitted()
+			pt := Run(sys, gen, clients, o.bench())
+			msgs := d.Net.Stats().Delivered.Load() - startMsgs
+			committed := d.TotalCommitted() - startCommitted
+			sys.Stop() // counters are a quiesced read
+			var agg types.SchedStats
+			for _, n := range d.Nodes() {
+				agg.Add(n.Counters())
 			}
-			r := runs[len(runs)/2]
-			r.Raw = raw
-			if sched.serialize {
-				serialized[wl.name] = r.ThroughputTx
-			} else if base := serialized[wl.name]; base > 0 {
-				r.Speedup = r.ThroughputTx / base
+			r := CrossParallelResult{
+				Workload:      wl.name,
+				BatchSize:     bs,
+				Clients:       clients,
+				ThroughputTx:  pt.ThroughputTx,
+				AvgLatencyMs:  pt.AvgLatencyMs,
+				P99LatencyMs:  pt.P99LatencyMs,
+				Leads:         agg.LeadHighWater,
+				Parks:         agg.Parks,
+				Withdraws:     agg.Withdraws,
+				DefersAvoided: agg.DefersAvoided,
+				SelfVoteWaits: agg.SelfVoteWaits,
 			}
-			results = append(results, r)
-			series = append(series, Series{
-				Name: fmt.Sprintf("%s/%s", sched.name, wl.name),
-				Points: []Point{{
-					Clients:      r.Clients,
-					ThroughputTx: r.ThroughputTx,
-					AvgLatencyMs: r.AvgLatencyMs,
-					P99LatencyMs: r.P99LatencyMs,
-				}},
-			})
+			if committed > 0 {
+				r.MsgsPerTx = float64(msgs) / float64(committed)
+			}
+			runs = append(runs, r)
 		}
+		if len(runs) == 0 {
+			continue
+		}
+		sort.Slice(runs, func(i, j int) bool {
+			return runs[i].ThroughputTx < runs[j].ThroughputTx
+		})
+		raw := make([]float64, len(runs))
+		for i, run := range runs {
+			raw[i] = run.ThroughputTx
+		}
+		r := runs[len(runs)/2]
+		r.Raw = raw
+		results = append(results, r)
+		series = append(series, Series{
+			Name: wl.name,
+			Points: []Point{{
+				Clients:      r.Clients,
+				ThroughputTx: r.ThroughputTx,
+				AvgLatencyMs: r.AvgLatencyMs,
+				P99LatencyMs: r.P99LatencyMs,
+			}},
+		})
 	}
-	Fprint(w, "Ablation — conflict-aware cross-shard scheduling vs serialized, crash model, batch 16", series)
+	Fprint(w, "Ablation — conflict-aware cross-shard scheduling, crash model, batch 16", series)
 	return results
 }
 

@@ -126,10 +126,8 @@ func runCrossParallelStress(t *testing.T, tr TransportKind, sets workload.CrossS
 		for _, l := range n.DebugTrace() {
 			t.Log("  I " + l)
 		}
-		if x, ok := n.cross.(*xcrash); ok {
-			for _, l := range x.DebugTrace() {
-				t.Log("  X " + l)
-			}
+		for _, l := range n.cross.DebugTrace() {
+			t.Log("  X " + l)
 		}
 		t.Logf("  stats=%+v", *n.Counters())
 	}

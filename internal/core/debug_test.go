@@ -62,7 +62,7 @@ func TestStressMixedCrash(t *testing.T) {
 	d.Stop() // quiesce node goroutines before reading their state
 	for _, n := range d.Nodes() {
 		t.Logf("node %s cluster %s: locked=%v waiting=%d pending=%d pendingIntra=%d pendingCross=%d deferred=%d pendingApply=%d committed=%d viewLen=%d anomalies=%d primary=%v",
-			n.ID(), n.Cluster(), n.cross.Locked(), n.cross.Waiting(), n.cross.Pending(),
+			n.ID(), n.Cluster(), n.cross.Locked(), n.cross.Waiting(), len(n.cross.leads),
 			len(n.pendingIntra), len(n.pendingCross), len(n.deferred), len(n.pendingApply),
 			n.Committed(), n.view.Len(), n.Anomalies(), n.intra.IsPrimary())
 	}
@@ -119,9 +119,9 @@ func TestStressMixedByz(t *testing.T) {
 	}
 	d.Stop() // quiesce node goroutines before reading their state
 	for _, n := range d.Nodes() {
-		x := n.cross.(*xbyz)
+		x := n.cross
 		extra := ""
-		for dg, inst := range x.instances {
+		for dg, inst := range x.policy.(*byzVotes).instances {
 			extra += fmt.Sprintf(" inst[%s]{view=%d sentA=%v sentC=%v txs=%d}", dg, inst.view, inst.sentAccept, inst.sentCommit, len(inst.txs))
 		}
 		for dg, lead := range x.leads {
@@ -183,7 +183,7 @@ func TestStressWorkloadCrash(t *testing.T) {
 	}
 	d.Stop() // quiesce node goroutines before reading their state
 	for _, n := range d.Nodes() {
-		x := n.cross.(*xcrash)
+		x := n.cross
 		extra := ""
 		for dg, lead := range x.leads {
 			extra += fmt.Sprintf(" lead[%s]{view=%d att=%d dormant=%v inv=%s}", dg, lead.view, lead.attempts, lead.dormant, lead.involved)
@@ -239,9 +239,9 @@ func TestCross100Diag(t *testing.T) {
 		float64(done.Load())/elapsed.Seconds())
 	d.Stop() // quiesce node goroutines before reading their state
 	for _, n := range d.Nodes() {
-		p, w, g, dec, le := n.cross.(*xcrash).Counters()
+		s := n.cross.Stats()
 		t.Logf("node %s %s: proposes=%d withdraws=%d grants=%d decides=%d lockExpiries=%d pendingCross=%d",
-			n.ID(), n.Cluster(), p, w, g, dec, le, len(n.pendingCross))
+			n.ID(), n.Cluster(), s.Proposes, s.Withdraws, s.Grants, s.Decides, s.LockExpiries, len(n.pendingCross))
 	}
 }
 
@@ -288,10 +288,10 @@ func TestCross100Sustained(t *testing.T) {
 	t.Logf("committed %d cross txs in 600ms (%.0f tx/s)", start, float64(start)/0.6)
 	d.Stop() // quiesce node goroutines before reading their state
 	for _, n := range d.Nodes() {
-		p, w, g, dec, le := n.cross.(*xcrash).Counters()
-		parks, avgPark, avgLead, avgHold := n.cross.(*xcrash).WaitStats()
-		t.Logf("node %s %s: prop=%d wdr=%d grant=%d dec=%d lockExp=%d pc=%d pi=%d parks=%d avgParkMs=%.1f avgLeadMs=%.2f avgHoldMs=%.2f",
-			n.ID(), n.Cluster(), p, w, g, dec, le, len(n.pendingCross), len(n.pendingIntra),
-			parks, avgPark, avgLead, avgHold)
+		x := n.cross
+		s := x.Stats()
+		t.Logf("node %s %s: prop=%d wdr=%d grant=%d dec=%d lockExp=%d pc=%d pi=%d parks=%d parkWait=%v leadWait=%v lockHold=%v",
+			n.ID(), n.Cluster(), s.Proposes, s.Withdraws, s.Grants, s.Decides, s.LockExpiries,
+			len(n.pendingCross), len(n.pendingIntra), s.Parks, x.parkWait, x.leadWait, x.lockHold)
 	}
 }

@@ -84,10 +84,6 @@ type Config struct {
 	// SHARPER_VERIFY_WINDOW override, defaulting to
 	// crypto.DefaultVerifyWindow. See NodeConfig.VerifyWindow.
 	VerifyWindow int
-	// SerializeCross restores the pre-conflict-table cross-shard scheduler
-	// (one lead, drain-gated initiation, node-wide deferral) so benchmarks
-	// can A/B the conflict-aware scheduler against it.
-	SerializeCross bool
 	// InlineCommit restores the pre-pipeline synchronous commit path (the
 	// event loop applies, persists, and replies inline) so benchmarks can
 	// A/B the commit pipeline against it.
@@ -382,32 +378,31 @@ func NewDeployment(cfg Config) (*Deployment, error) {
 		}
 		registerSimLinkGauges(reg, clientNet, id)
 		ncfg := NodeConfig{
-			Model:          topo.ModelOf(cluster),
-			Topology:       topo,
-			Cluster:        cluster,
-			Self:           id,
-			Net:            fab,
-			Shards:         shards,
-			Signer:         signer,
-			Verifier:       verifier,
-			IntraTimeout:   cfg.IntraTimeout,
-			LockTimeout:    cfg.LockTimeout,
-			RetryTimeout:   cfg.RetryTimeout,
-			TickInterval:   cfg.TickInterval,
-			BatchSize:      cfg.BatchSize,
-			BatchTimeout:   cfg.BatchTimeout,
-			MaxInFlight:    cfg.MaxInFlight,
-			SerializeCross: cfg.SerializeCross,
-			InlineCommit:   cfg.InlineCommit,
-			PipelineDepth:  cfg.PipelineDepth,
-			SuperPrimary:   !cfg.DisableSuperPrimary,
-			VerifyWindow:   cfg.VerifyWindow,
-			Seed:           cfg.Seed + int64(id) + 2,
-			Storage:        st,
-			Slash:          cfg.Slash,
-			Metrics:        reg,
-			TraceSample:    cfg.TraceSample,
-			Mempool:        cfg.Mempool,
+			Model:         topo.ModelOf(cluster),
+			Topology:      topo,
+			Cluster:       cluster,
+			Self:          id,
+			Net:           fab,
+			Shards:        shards,
+			Signer:        signer,
+			Verifier:      verifier,
+			IntraTimeout:  cfg.IntraTimeout,
+			LockTimeout:   cfg.LockTimeout,
+			RetryTimeout:  cfg.RetryTimeout,
+			TickInterval:  cfg.TickInterval,
+			BatchSize:     cfg.BatchSize,
+			BatchTimeout:  cfg.BatchTimeout,
+			MaxInFlight:   cfg.MaxInFlight,
+			InlineCommit:  cfg.InlineCommit,
+			PipelineDepth: cfg.PipelineDepth,
+			SuperPrimary:  !cfg.DisableSuperPrimary,
+			VerifyWindow:  cfg.VerifyWindow,
+			Seed:          cfg.Seed + int64(id) + 2,
+			Storage:       st,
+			Slash:         cfg.Slash,
+			Metrics:       reg,
+			TraceSample:   cfg.TraceSample,
+			Mempool:       cfg.Mempool,
 		}
 		d.nodeCfgs[id] = ncfg
 		d.nodes[id] = NewNode(ncfg)

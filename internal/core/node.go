@@ -65,12 +65,6 @@ type NodeConfig struct {
 	// compatible attempts at once).
 	MaxInFlight int
 
-	// SerializeCross restores the pre-conflict-table scheduler for A/B
-	// measurement: one cross-shard lead at a time, initiation gated on a
-	// fully drained chain, and node-wide deferral of intra-shard proposals
-	// while any cross-shard slot vote is held.
-	SerializeCross bool
-
 	// Storage, when non-nil, is the replica's durability subsystem: the
 	// node logs committed blocks and acceptor state through it
 	// (persist-before-ack), checkpoints periodically, and — when the store
@@ -218,7 +212,7 @@ type Node struct {
 	vpool *crypto.VerifyPool
 
 	intra IntraEngine
-	cross crossEngine
+	cross *coordinator
 	// table is the conflict table shared with the cross engine: the single
 	// authority over the node's cross-shard slot vote and lead admission,
 	// consulted by dispatch for slot-precise deferral.
@@ -381,13 +375,8 @@ func NewNode(cfg NodeConfig) *Node {
 	}
 	// The conflict table is the scheduling authority shared between the
 	// cross engine (slot votes, lead admission) and the node (slot-precise
-	// deferral of intra proposals). The legacy serialized scheduler is one
-	// lead with whole-node deferral.
+	// deferral of intra proposals).
 	n.table = consensus.NewConflictTable(cfg.Cluster)
-	maxLeads := cfg.MaxInFlight
-	if cfg.SerializeCross {
-		maxLeads = 1
-	}
 	n.intra = newIntraEngine(cfg.Model, cfg.Topology, cfg.Cluster, cfg.Self,
 		cfg.Signer, cfg.Verifier, cfg.IntraTimeout, genesis, persist,
 		n.table.ConflictsIntra, obs.NewEngineMetrics(n.reg, intraPrefix), onPrepared)
@@ -396,17 +385,10 @@ func NewNode(cfg NodeConfig) *Node {
 	// lie, the decentralized Algorithm 2 runs deployment-wide with
 	// per-cluster quorums (f+1 from crash clusters, 2f+1 from Byzantine
 	// ones) — the hybrid arrangement §3.4 sketches via SeeMoRe.
-	if cfg.Topology.AnyByzantine() {
-		xb := newXByz(cfg.Topology, cfg.Cluster, cfg.Self, cfg.Signer, cfg.Verifier,
-			n.table, status, validate, cfg.LockTimeout, cfg.RetryTimeout, maxLeads, cfg.Seed)
-		xb.tracer = n.tracer
-		n.cross = xb
-	} else {
-		xc := newXCrash(cfg.Topology, cfg.Cluster, cfg.Self,
-			n.table, status, validate, cfg.LockTimeout, cfg.RetryTimeout, maxLeads, cfg.Seed)
-		xc.tracer = n.tracer
-		n.cross = xc
-	}
+	n.cross = newCoordinator(cfg.Topology.AnyByzantine(), cfg.Topology, cfg.Cluster, cfg.Self,
+		cfg.Signer, cfg.Verifier, n.table, status, validate,
+		cfg.LockTimeout, cfg.RetryTimeout, cfg.MaxInFlight, cfg.Seed)
+	n.cross.tracer = n.tracer
 	if cfg.Storage != nil {
 		n.recoverChain(cfg.Storage.Recovered())
 	}
@@ -696,7 +678,7 @@ func (n *Node) dispatch(env *types.Envelope, now time.Time) {
 		// changes still defer conservatively — a new primary's value
 		// recovery re-proposes values at arbitrary slots, including the
 		// reserved one.
-		if deferIntra(n.table, n.cfg.SerializeCross, env) {
+		if deferIntra(n.table, env) {
 			n.table.NoteDefer()
 			n.deferredGen = n.table.Gen()
 			n.deferred = append(n.deferred, env)
@@ -1101,14 +1083,10 @@ func (n *Node) adoptBlock(b *types.Block, now time.Time) bool {
 // deferIntra decides whether an intra-shard protocol message must wait for
 // the held cross-shard slot vote. With the conflict table the test is
 // slot-precise: only a proposal at the reserved slot (or the view-change
-// machinery, which may re-bind it) defers. The serialized legacy scheduler
-// defers everything node-wide, as the pre-table engines did.
-func deferIntra(table *consensus.ConflictTable, serialize bool, env *types.Envelope) bool {
+// machinery, which may re-bind it) defers.
+func deferIntra(table *consensus.ConflictTable, env *types.Envelope) bool {
 	if !table.Held() {
 		return false
-	}
-	if serialize {
-		return true
 	}
 	switch env.Type {
 	case types.MsgViewChange, types.MsgNewView:
@@ -1435,18 +1413,14 @@ func (n *Node) flushIntra(now time.Time) {
 		// vote, a held slot vote (the next proposal slot is exactly the
 		// reserved one), and a lead still waiting to cast its own vote.
 		// Merely-queued cross batches (accumulating toward BatchSize behind
-		// an in-flight lead) do NOT block intra — under the serialized
-		// legacy scheduler they did, which starved intra whenever the cross
-		// queue never emptied.
+		// an in-flight lead) do NOT block intra: that starved intra
+		// whenever the cross queue never emptied.
 		if n.cross.Locked() || n.cross.Waiting() > 0 || n.cross.NeedsSlot() ||
 			n.crossWantsDrain {
 			return
 		}
 		if n.exec != nil && n.exec.Full() {
 			return // commit pipeline full: stop proposing, keep receiving
-		}
-		if n.cfg.SerializeCross && len(n.pendingCross) > 0 {
-			return
 		}
 		inFlight := n.inFlightIntra()
 		if inFlight >= n.cfg.MaxInFlight {
@@ -1505,29 +1479,6 @@ func (n *Node) proposeCross(tx *types.Transaction, now time.Time) {
 	// same turn it arrives.
 }
 
-// takeCrossBatch removes and returns the next cross-shard batch: the head of
-// the queue plus every later queued transaction with the same
-// involved-cluster set, up to BatchSize — those commit through one flattened
-// consensus instance and one DAG block.
-func (n *Node) takeCrossBatch() []*types.Transaction {
-	head := n.pendingCross[0]
-	batch := []*types.Transaction{head}
-	var rest []*types.Transaction
-	for _, tx := range n.pendingCross[1:] {
-		if len(batch) < n.cfg.BatchSize && tx.Involved.Equal(head.Involved) {
-			batch = append(batch, tx)
-		} else {
-			rest = append(rest, tx)
-		}
-	}
-	n.pendingCross = rest
-	for _, tx := range batch {
-		delete(n.queued, tx.ID)
-		delete(n.crossArrived, tx.ID)
-	}
-	return batch
-}
-
 // maybeLaunch makes progress on whatever the node was forced to postpone:
 // deferred intra messages whose slot conflict may have cleared, queued
 // cross-shard initiations the conflict table admits, then the accumulated
@@ -1565,9 +1516,7 @@ func (n *Node) replayDeferred(now time.Time) {
 // launchCross initiates every queued cross-shard batch the scheduler
 // admits. The conflict-aware path walks the queue in arrival order and
 // skips involved-cluster sets blocked by an in-flight conflicting lead, so
-// a blocked head-of-line set no longer stalls later disjoint sets; the
-// legacy serialized path (SerializeCross) launches one batch at a time and
-// only on a fully drained, unlocked chain.
+// a blocked head-of-line set no longer stalls later disjoint sets.
 func (n *Node) launchCross(now time.Time) {
 	n.crossWantsDrain = false
 	if len(n.pendingCross) == 0 {
@@ -1575,18 +1524,6 @@ func (n *Node) launchCross(now time.Time) {
 	}
 	if n.exec != nil && n.exec.Full() {
 		return // commit pipeline full: stop initiating, keep receiving
-	}
-	if n.cfg.SerializeCross {
-		if n.cross.Locked() || len(n.deferred) > 0 || !n.chainStatus().Drained {
-			return
-		}
-		batch := n.takeCrossBatch()
-		for _, tx := range batch {
-			n.inFlight[tx.ID] = now
-		}
-		n.bindCrossTrace(batch, now)
-		n.send(n.cross.Initiate(batch, now))
-		return
 	}
 	for len(n.pendingCross) > 0 {
 		batch := n.takeLaunchableBatch(now)

@@ -45,8 +45,6 @@ type ProcessConfig struct {
 	// VerifyWindow is the node's signature batch-verification window (see
 	// NodeConfig.VerifyWindow; 1 = strictly per signature).
 	VerifyWindow int
-	// SerializeCross restores the legacy serialized cross-shard scheduler.
-	SerializeCross bool
 	// InlineCommit restores the pre-pipeline synchronous commit path.
 	InlineCommit bool
 	// DisableSuperPrimary turns off §3.2 super-primary routing.
@@ -131,30 +129,29 @@ func NewProcessNode(cfg ProcessConfig) (*Node, error) {
 		}
 	}
 	return NewNode(NodeConfig{
-		Model:          cfg.Topo.ModelOf(cluster),
-		Topology:       cfg.Topo,
-		Cluster:        cluster,
-		Self:           cfg.Self,
-		Net:            cfg.Fabric,
-		Shards:         state.ShardMap{NumShards: len(cfg.Topo.Clusters)},
-		Signer:         signer,
-		Verifier:       verifier,
-		IntraTimeout:   cfg.IntraTimeout,
-		LockTimeout:    cfg.LockTimeout,
-		RetryTimeout:   cfg.RetryTimeout,
-		TickInterval:   cfg.TickInterval,
-		BatchSize:      cfg.BatchSize,
-		BatchTimeout:   cfg.BatchTimeout,
-		MaxInFlight:    cfg.MaxInFlight,
-		VerifyWindow:   cfg.VerifyWindow,
-		SerializeCross: cfg.SerializeCross,
-		InlineCommit:   cfg.InlineCommit,
-		SuperPrimary:   !cfg.DisableSuperPrimary,
-		Seed:           cfg.Seed + int64(cfg.Self) + 2,
-		Storage:        st,
-		Slash:          cfg.Slash,
-		Metrics:        reg,
-		TraceSample:    cfg.TraceSample,
+		Model:        cfg.Topo.ModelOf(cluster),
+		Topology:     cfg.Topo,
+		Cluster:      cluster,
+		Self:         cfg.Self,
+		Net:          cfg.Fabric,
+		Shards:       state.ShardMap{NumShards: len(cfg.Topo.Clusters)},
+		Signer:       signer,
+		Verifier:     verifier,
+		IntraTimeout: cfg.IntraTimeout,
+		LockTimeout:  cfg.LockTimeout,
+		RetryTimeout: cfg.RetryTimeout,
+		TickInterval: cfg.TickInterval,
+		BatchSize:    cfg.BatchSize,
+		BatchTimeout: cfg.BatchTimeout,
+		MaxInFlight:  cfg.MaxInFlight,
+		VerifyWindow: cfg.VerifyWindow,
+		InlineCommit: cfg.InlineCommit,
+		SuperPrimary: !cfg.DisableSuperPrimary,
+		Seed:         cfg.Seed + int64(cfg.Self) + 2,
+		Storage:      st,
+		Slash:        cfg.Slash,
+		Metrics:      reg,
+		TraceSample:  cfg.TraceSample,
 	}), nil
 }
 

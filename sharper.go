@@ -173,10 +173,6 @@ type Options struct {
 	// strictly per signature; 0 takes the SHARPER_VERIFY_WINDOW override,
 	// defaulting to crypto.DefaultVerifyWindow.
 	VerifyWindow int
-	// SerializeCross restores the legacy serialized cross-shard scheduler
-	// (whole-node lock, drain-gated initiation, one lead at a time) in
-	// place of the conflict-aware one, for A/B comparison.
-	SerializeCross bool
 	// InlineCommit restores the pre-pipeline synchronous commit path (the
 	// event loop applies, persists, and replies between consensus
 	// messages) in place of the commit pipeline, for A/B comparison.
@@ -254,7 +250,6 @@ func New(opts Options) (*Network, error) {
 		BatchTimeout:        opts.BatchTimeout,
 		MaxInFlight:         opts.MaxInFlight,
 		VerifyWindow:        opts.VerifyWindow,
-		SerializeCross:      opts.SerializeCross,
 		InlineCommit:        opts.InlineCommit,
 		DataDir:             opts.DataDir,
 		Sync:                opts.Sync,
