@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -189,6 +190,7 @@ var coordinatorCases = []struct {
 	{"SelfVoteBeforeForeignGrant", caseSelfVoteFirst},
 	{"DisjointSetsDecideIndependently", caseDisjointSets},
 	{"PerDigestStateRetires", casePerDigestStateRetires},
+	{"AbortFromNonProposerIgnored", caseAbortFromNonProposer},
 }
 
 func TestCoordinator(t *testing.T) {
@@ -203,13 +205,13 @@ func TestCoordinator(t *testing.T) {
 		name string
 		run  func(t *testing.T)
 	}{
-		{"AbortFromNonProposerIgnored", caseAbortFromNonProposer},
 		{"AbortAfterCommitPhaseKeepsSlot", caseAbortAfterCommitPhase},
 		{"DeadCommitReleasedOnceHeadMoves", caseDeadCommitReleased},
 		{"ForgedSignatureDropped", caseForgedSignature},
 	} {
 		t.Run(c.name+"/byz", c.run)
 	}
+	t.Run("StaleAbortKeepsNewerVote/crash", caseStaleAbortKeepsNewerVote)
 }
 
 // The Algorithm 1 names predate the shared suite; each runs its case under
@@ -624,8 +626,8 @@ func byzCommitPhase(t *testing.T) (*xharness, *types.Transaction) {
 	return h, t1
 }
 
-func caseAbortFromNonProposer(t *testing.T) {
-	h := newXHarness(t, types.Byzantine, 2)
+func caseAbortFromNonProposer(t *testing.T, model types.FailureModel) {
+	h := newXHarness(t, model, 2)
 	p0 := h.topo.Primary(0, 0)
 	h.drop = h.dropTo(1) // no quorum: cluster 0 stays locked on T1
 	t1 := xtx(1, 0, 1)
@@ -645,6 +647,41 @@ func caseAbortFromNonProposer(t *testing.T) {
 	h.tick(600 * time.Millisecond)
 	if h.engines[victim].Locked() {
 		t.Fatal("the proposer's ABORT did not release the slot vote")
+	}
+}
+
+// caseStaleAbortKeepsNewerVote: the initiator answers a late accept from
+// a withdrawn attempt with an ABORT; it must not free the vote the same
+// participant has since cast for the re-proposed attempt.
+func caseStaleAbortKeepsNewerVote(t *testing.T) {
+	h := newXHarness(t, types.CrashOnly, 2)
+	p0, P := h.topo.Primary(0, 0), h.topo.Members(1)[1]
+	var stale, current []consensus.Outbound
+	for _, o := range h.initiate(p0, xtx(1, 0, 1)) {
+		if slices.Contains(o.To, P) {
+			stale, _ = h.engines[P].Step(o.Env, h.now) // P's attempt-1 accept, held back
+		}
+	}
+	// The initiator withdraws (its ABORT is lost) and re-proposes.
+	for i := 0; i < 50 && len(current) == 0; i++ {
+		h.now = h.now.Add(100 * time.Millisecond)
+		outs, _ := h.engines[p0].Tick(h.now)
+		for _, o := range outs {
+			if o.Env.Type == types.MsgXPropose {
+				current, _ = h.engines[P].Step(o.Env, h.now)
+			}
+		}
+	}
+	if len(current) == 0 || !h.engines[P].Locked() {
+		t.Fatal("participant did not vote on the re-proposed attempt")
+	}
+	abort, _ := h.engines[p0].Step(stale[0].Env, h.now)
+	if len(abort) != 1 || abort[0].Env.Type != types.MsgXAbort {
+		t.Fatalf("stale accept answered with %d messages, want one ABORT", len(abort))
+	}
+	h.engines[P].Step(abort[0].Env, h.now)
+	if !h.engines[P].Locked() {
+		t.Fatal("an ABORT for a withdrawn attempt freed the vote for its successor")
 	}
 }
 

@@ -25,6 +25,15 @@ type crashVotes struct {
 	lockNudged      bool
 	lockReplyDigest types.Hash
 
+	// votedBy and votedView name the attempt the held slot vote went to
+	// (this node itself for an initiator's own vote). Only that attempt's
+	// initiator, at that view or later, may abort it: an ABORT answering an
+	// older attempt's accept, or one from another initiator of the same
+	// batch, would free a vote the current attempt may already have
+	// counted, and the freed head could then be voted a second time.
+	votedBy   types.NodeID
+	votedView uint64
+
 	// recent retains decided attempts' COMMIT multicasts for a bounded
 	// retransmission schedule: a commit lost or badly delayed on its way to
 	// a participant cluster would otherwise leave that cluster's view
@@ -69,6 +78,7 @@ func (p *crashVotes) votedElsewhere(*xlead) bool { return false }
 
 func (p *crashVotes) selfVote(lead *xlead, st chainStatus) []consensus.Outbound {
 	p.forgetReply(lead.digest)
+	p.votedBy, p.votedView = p.self, lead.view
 	lead.votes.Add(p.cluster, p.self, consensus.HashVote{
 		Key:   consensus.VoteKey{View: lead.view, Digest: lead.digest},
 		Prev:  st.Head,
@@ -134,6 +144,7 @@ func (p *crashVotes) onPropose(env *types.Envelope, now time.Time) []consensus.O
 	renv := p.envelope(types.MsgXAccept, reply)
 	p.lockReply, p.lockFrom, p.lockNudged = renv, env.From, false
 	p.lockReplyDigest = digest
+	p.votedBy, p.votedView = env.From, m.View
 	return []consensus.Outbound{{To: []types.NodeID{env.From}, Env: renv}}
 }
 
@@ -238,6 +249,9 @@ func (p *crashVotes) onAbort(env *types.Envelope, now time.Time) ([]consensus.Ou
 	m, err := types.DecodeConsensusMsg(env.Payload)
 	if err != nil || p.decided[m.Digest] {
 		return nil, nil
+	}
+	if p.table.Holds(m.Digest) && (env.From != p.votedBy || m.View < p.votedView) {
+		return nil, nil // not the attempt this node's vote went to
 	}
 	p.unpark(m.Digest, now)
 	p.unlock(m.Digest, now)
