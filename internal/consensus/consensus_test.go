@@ -1,6 +1,7 @@
 package consensus
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -242,6 +243,66 @@ func TestReplyCacheSweepExpires(t *testing.T) {
 	c.Put(id(9), &types.Reply{TxID: id(9)})
 	if !c.Contains(id(9)) {
 		t.Fatal("put after sweep lost")
+	}
+}
+
+func TestReplyCacheAllocatesByLiveSet(t *testing.T) {
+	// The capacity is an eviction bound: a cache sized for 65,536 replies
+	// must not pre-allocate for them (every replica builds one at start-up).
+	const n = 64
+	caches := make([]*ReplyCache, n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range caches {
+		caches[i] = NewReplyCache(1 << 16)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per > 4<<10 {
+		t.Fatalf("NewReplyCache(1<<16) allocated %d bytes before any Put", per)
+	}
+}
+
+func TestReplyCacheGrowsPastCapacity(t *testing.T) {
+	// Grown on demand well past its capacity, the cache still evicts FIFO
+	// at the bound, and Sweep still expires and resets it.
+	const capacity = 100
+	c := NewReplyCache(capacity)
+	id := func(seq uint64) types.TxID { return types.TxID{Client: 1, Seq: seq} }
+	put := func(from, to uint64) {
+		for seq := from; seq <= to; seq++ {
+			c.Put(id(seq), &types.Reply{TxID: id(seq)})
+		}
+	}
+	check := func(oldest, newest uint64) {
+		t.Helper()
+		if c.Len() != capacity {
+			t.Fatalf("len %d, want %d", c.Len(), capacity)
+		}
+		if c.Contains(id(oldest - 1)) {
+			t.Fatalf("entry %d not evicted", oldest-1)
+		}
+		for seq := oldest; seq <= newest; seq++ {
+			if r, ok := c.Get(id(seq)); !ok || r.TxID != id(seq) {
+				t.Fatalf("entry %d missing", seq)
+			}
+		}
+	}
+	put(1, 5*capacity/2)
+	check(3*capacity/2+1, 5*capacity/2)
+	if n := c.Sweep(time.Now().Add(-time.Hour)); n != 0 {
+		t.Fatalf("past cutoff swept %d", n)
+	}
+	check(3*capacity/2+1, 5*capacity/2)
+	if n := c.Sweep(time.Now().Add(time.Hour)); n != capacity {
+		t.Fatalf("future cutoff swept %d, want %d", n, capacity)
+	}
+	if c.Len() != 0 || len(c.order) != 0 {
+		t.Fatalf("len %d, order %d after a full sweep", c.Len(), len(c.order))
+	}
+	put(1000, 1000+2*capacity-1)
+	check(1000+capacity, 1000+2*capacity-1)
+	if got := cap(c.order); got > 4*capacity {
+		t.Fatalf("order slice grew to cap %d", got)
 	}
 }
 

@@ -33,15 +33,14 @@ type replyEntry struct {
 }
 
 // NewReplyCache creates a cache bounded to capacity entries (minimum 1).
+// The capacity is an eviction bound, not an allocation: the map and the
+// order slice grow with the entries actually held, which Sweep ties to the
+// dedup window.
 func NewReplyCache(capacity int) *ReplyCache {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &ReplyCache{
-		cap:     capacity,
-		entries: make(map[types.TxID]replyEntry, capacity),
-		order:   make([]types.TxID, 0, capacity),
-	}
+	return &ReplyCache{cap: capacity, entries: make(map[types.TxID]replyEntry)}
 }
 
 // Get returns the cached reply for id, if present.

@@ -100,7 +100,7 @@ type votePolicy interface {
 	// step handles one PROPOSE, ACCEPT, COMMIT or ABORT.
 	step(env *types.Envelope, now time.Time) ([]consensus.Outbound, []crossDecision)
 	// newAttempt resets the tally for lead's freshly proposed attempt.
-	newAttempt(lead *xlead)
+	newAttempt(lead *xlead, now time.Time)
 	// votedElsewhere reports whether this node already voted on lead's
 	// digest at its current view by granting a foreign PROPOSE.
 	votedElsewhere(lead *xlead) bool
@@ -110,6 +110,8 @@ type votePolicy interface {
 	tally(lead *xlead, now time.Time) ([]consensus.Outbound, []crossDecision)
 	// release frees what the withdrawn attempt holds at this node.
 	release(lead *xlead, now time.Time)
+	// forget drops the per-digest state of a retired lead.
+	forget(digest types.Hash)
 	// tick runs the policy's timers and calls expireLock where its rules
 	// need it: the crash lock nudge reads the holder's deadline before the
 	// expiry clears it, and the Byzantine dead-commit release runs after
@@ -302,7 +304,7 @@ func (x *coordinator) propose(lead *xlead, now time.Time) []consensus.Outbound {
 		Txs:        lead.txs,
 	}
 	outs := []consensus.Outbound{x.multicast(lead.involved, x.envelope(types.MsgXPropose, msg))}
-	x.policy.newAttempt(lead)
+	x.policy.newAttempt(lead, now)
 	return append(outs, x.castLeadVote(lead, now)...)
 }
 
@@ -392,6 +394,7 @@ func (x *coordinator) withdraw(lead *xlead, now time.Time) consensus.Outbound {
 func (x *coordinator) dropLead(digest types.Hash) {
 	delete(x.leads, digest)
 	x.table.DropLead(digest)
+	x.policy.forget(digest)
 }
 
 // compactLeadOrder drops retired digests from leadOrder in place.

@@ -190,6 +190,7 @@ var coordinatorCases = []struct {
 	{"SelfVoteBeforeForeignGrant", caseSelfVoteFirst},
 	{"DisjointSetsDecideIndependently", caseDisjointSets},
 	{"PerDigestStateRetires", casePerDigestStateRetires},
+	{"DroppedLeadLeavesNoState", caseDroppedLeadLeavesNoState},
 	{"AbortFromNonProposerIgnored", caseAbortFromNonProposer},
 }
 
@@ -594,6 +595,44 @@ func casePerDigestStateRetires(t *testing.T, model types.FailureModel) {
 		if len(x.waiting) != 0 || len(x.waitOrder) > 8 || len(x.leads) != 0 || len(x.leadOrder) != 0 {
 			t.Fatalf("node %s keeps waiting=%d waitOrder=%d leads=%d leadOrder=%d",
 				id, len(x.waiting), len(x.waitOrder), len(x.leads), len(x.leadOrder))
+		}
+		switch p := x.policy.(type) {
+		case *crashVotes:
+			if len(p.recent) != 0 {
+				t.Fatalf("node %s retains %d commits", id, len(p.recent))
+			}
+		case *byzVotes:
+			if len(p.instances) != 0 {
+				t.Fatalf("node %s keeps %d instances", id, len(p.instances))
+			}
+		}
+	}
+}
+
+// caseDroppedLeadLeavesNoState keeps cluster 1 unreachable for a lead's
+// whole life: once the initiator drops it after maxCrossAttempts, no node
+// of cluster 0 may keep per-digest state for the batch.
+func caseDroppedLeadLeavesNoState(t *testing.T, model types.FailureModel) {
+	h := newXHarness(t, model, 2)
+	h.drop = h.dropTo(1)
+	p0 := h.topo.Primary(0, 0)
+	h.sendAll(p0, h.initiate(p0, xtx(1, 0, 1)))
+	h.pump()
+	const step = 50 * time.Millisecond
+	for i := 0; i < 100_000 && len(h.engines[p0].leads) > 0; i++ {
+		h.tick(step)
+	}
+	if s := h.engines[p0].Stats(); len(h.engines[p0].leads) != 0 || s.Proposes != maxCrossAttempts {
+		t.Fatalf("lead not dropped after %d attempts: leads=%d %+v", maxCrossAttempts, len(h.engines[p0].leads), s)
+	}
+	// Participants let an instance go once it has sat idle.
+	for i := time.Duration(0); i <= instanceIdle*h.engines[p0].lockTimeout/step; i++ {
+		h.tick(step)
+	}
+	for _, id := range h.topo.Members(0) {
+		x := h.engines[id]
+		if len(x.waiting) != 0 || len(x.leads) != 0 || x.table.Held() {
+			t.Fatalf("node %s keeps waiting=%d leads=%d held=%v", id, len(x.waiting), len(x.leads), x.table.Held())
 		}
 		switch p := x.policy.(type) {
 		case *crashVotes:

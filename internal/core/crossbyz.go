@@ -48,7 +48,17 @@ type xinst struct {
 	// quorums for the same digest from ever co-existing.
 	committedHashes []types.Hash
 	commitEnv       *types.Envelope // stored commit for re-broadcast
+	// touched is when a message for the digest last reached the instance;
+	// tick drops instances idle for instanceIdle lock timeouts.
+	touched time.Time
 }
+
+// instanceIdle is how many lock timeouts an instance that holds nothing
+// may sit untouched before tick drops it. A live initiator re-proposes
+// within its backoff, well inside one lock timeout, so an instance idle
+// this long belongs to a lead that was dropped after maxCrossAttempts or
+// whose initiator died, and keeping it would retain its batch forever.
+const instanceIdle = 4
 
 // keyedHashes pairs a commit key's hash list with its validity bitmap.
 type keyedHashes struct {
@@ -66,7 +76,7 @@ func (inst *xinst) slotOf(c types.ClusterID) int {
 	return -1
 }
 
-func (p *byzVotes) getInstance(digest types.Hash) *xinst {
+func (p *byzVotes) getInstance(digest types.Hash, now time.Time) *xinst {
 	inst, ok := p.instances[digest]
 	if !ok {
 		inst = &xinst{
@@ -76,6 +86,7 @@ func (p *byzVotes) getInstance(digest types.Hash) *xinst {
 		}
 		p.instances[digest] = inst
 	}
+	inst.touched = now
 	return inst
 }
 
@@ -104,8 +115,8 @@ func (p *byzVotes) step(env *types.Envelope, now time.Time) ([]consensus.Outboun
 
 // newAttempt joins the accept phase at the lead's new view ourselves,
 // unless this node is pinned to a commit.
-func (p *byzVotes) newAttempt(lead *xlead) {
-	inst := p.getInstance(lead.digest)
+func (p *byzVotes) newAttempt(lead *xlead, now time.Time) {
+	inst := p.getInstance(lead.digest, now)
 	inst.txs = lead.txs
 	inst.involved = lead.involved
 	inst.proposer = p.self
@@ -139,14 +150,31 @@ func (p *byzVotes) release(lead *xlead, now time.Time) {
 	}
 }
 
-// tick expires the slot vote, then releases commits whose agreed parent
-// the chain has moved past.
+// forget drops a retired lead's instance unless this node is pinned to its
+// commit; a pinned one goes once maybeReleaseDeadCommit frees it and it
+// sits idle.
+func (p *byzVotes) forget(digest types.Hash) {
+	if inst := p.instances[digest]; inst != nil && !inst.sentCommit {
+		delete(p.instances, digest)
+	}
+}
+
+// tick expires the slot vote, releases commits whose agreed parent the
+// chain has moved past, and drops idle instances that hold nothing here:
+// no slot vote, no commit pin, no lead and no parked proposal.
 func (p *byzVotes) tick(now time.Time) []consensus.Outbound {
 	p.expireLock(now)
 	st := p.status()
+	idle := instanceIdle * p.lockTimeout
 	for digest, inst := range p.instances {
 		if inst.sentCommit {
 			p.maybeReleaseDeadCommit(inst, digest, st, now)
+		}
+		if inst.sentCommit || now.Sub(inst.touched) < idle || p.table.Holds(digest) || p.leads[digest] != nil {
+			continue
+		}
+		if _, parked := p.waiting[digest]; !parked {
+			delete(p.instances, digest)
 		}
 	}
 	return nil
@@ -174,7 +202,7 @@ func (p *byzVotes) onPropose(env *types.Envelope, now time.Time) []consensus.Out
 		return nil
 	}
 	st := p.status()
-	inst := p.getInstance(digest)
+	inst := p.getInstance(digest, now)
 	inst.txs = m.Txs
 	inst.involved = involved
 	if inst.proposer == 0 {
@@ -264,7 +292,7 @@ func (p *byzVotes) onAccept(env *types.Envelope, now time.Time) ([]consensus.Out
 	if !ok {
 		return nil, nil
 	}
-	inst := p.getInstance(m.Digest)
+	inst := p.getInstance(m.Digest, now)
 	inst.accepts.Add(senderCluster, env.From, consensus.HashVote{
 		Key:   consensus.VoteKey{View: m.View, Digest: m.Digest},
 		Prev:  m.PrevHashes[0],
@@ -330,7 +358,7 @@ func (p *byzVotes) onCommit(env *types.Envelope, now time.Time) ([]consensus.Out
 	if !ok {
 		return nil, nil
 	}
-	inst := p.getInstance(m.Digest)
+	inst := p.getInstance(m.Digest, now)
 	if len(inst.txs) == 0 && len(m.Txs) > 0 && types.BatchDigest(m.Txs) == m.Digest {
 		if involved, ok := batchInvolved(m.Txs); ok {
 			inst.txs = m.Txs

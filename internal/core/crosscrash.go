@@ -72,7 +72,10 @@ func (p *crashVotes) step(env *types.Envelope, now time.Time) ([]consensus.Outbo
 	}
 }
 
-func (p *crashVotes) newAttempt(lead *xlead) { lead.votes = consensus.NewHashVoteSet() }
+func (p *crashVotes) newAttempt(lead *xlead, _ time.Time) { lead.votes = consensus.NewHashVoteSet() }
+
+// forget has nothing to drop: the accept tally lives on the lead.
+func (p *crashVotes) forget(types.Hash) {}
 
 func (p *crashVotes) votedElsewhere(*xlead) bool { return false }
 

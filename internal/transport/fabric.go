@@ -48,6 +48,25 @@ type FaultInjector interface {
 	HealPartition()
 }
 
+// clientInbox is the inbox capacity of a client endpoint (id.IsClient()).
+// A client has one Submit in flight and hears at most one reply per member
+// of each involved cluster per attempt: in the paper's deployment of four
+// clusters of 3f+1 = 4 replicas that is 16 replies, so 256 slots hold every
+// reply of 16 attempts, twice a GatewayClient's MaxAttempts. A replica
+// inbox needs InboxSize because it absorbs its whole cluster's protocol
+// traffic; at that size a client's inbox would hold 128 KB of slots for
+// replies it never gets.
+const clientInbox = 256
+
+// InboxCap returns the inbox capacity for endpoint id given the configured
+// replica capacity: replicas get all of it, clients at most clientInbox.
+func InboxCap(id types.NodeID, replicaCap int) int {
+	if id.IsClient() {
+		return min(clientInbox, replicaCap)
+	}
+	return replicaCap
+}
+
 var (
 	_ Fabric        = (*Network)(nil)
 	_ FaultInjector = (*Network)(nil)

@@ -121,7 +121,11 @@ type Config struct {
 	// Secret keys the per-frame HMAC; every process of the deployment must
 	// share it (crypto.WireKey derives it from a secret string).
 	Secret []byte
-	// InboxSize is the buffered capacity of each local inbox (default 16384).
+	// InboxSize is the buffered capacity of each local replica inbox
+	// (default 16384); a client endpoint's inbox is smaller (see
+	// transport.InboxCap). A full replica inbox blocks its connection's
+	// reader, so TCP flow control pushes back on the sender; a frame for a
+	// full client inbox is dropped and counted instead.
 	InboxSize int
 	// QueueSize bounds each per-peer outbound queue; frames beyond it are
 	// dropped, like the simulated fabric under saturation (default 16384).
@@ -309,7 +313,7 @@ func (n *Net) Register(id types.NodeID) <-chan *types.Envelope {
 		n.mu.Unlock()
 		return ch
 	}
-	ch := make(chan *types.Envelope, n.cfg.InboxSize)
+	ch := make(chan *types.Envelope, transport.InboxCap(id, n.cfg.InboxSize))
 	n.inboxes[id] = ch
 	peers := make([]*peer, 0, len(n.peers))
 	for _, p := range n.peers {
@@ -877,8 +881,9 @@ func (n *Net) writeLoop(wc *wireConn) {
 // authenticator, learn return routes from hellos (and from any sender we
 // cannot reach otherwise), and deliver to the local inbox. The socket is
 // read through a buffered reader, so a coalesced burst costs one syscall to
-// ingest too. Delivery blocks when an inbox is full — TCP flow control then
-// pushes back on the sender, as on any real network.
+// ingest too. Delivery blocks when a replica inbox is full — TCP flow
+// control then pushes back on the sender, as on any real network — and
+// drops when a client inbox is full.
 func (n *Net) readLoop(wc *wireConn) {
 	defer n.wg.Done()
 	defer n.dropConn(wc)
@@ -932,6 +937,19 @@ func (n *Net) readLoop(wc *wireConn) {
 		ch, ok := n.inboxes[types.NodeID(to)]
 		n.mu.RUnlock()
 		if !ok {
+			n.stats.Dropped.Add(1)
+			continue
+		}
+		select {
+		case ch <- env:
+			n.stats.Delivered.Add(1)
+			continue
+		default:
+		}
+		if types.NodeID(to).IsClient() {
+			// Client endpoints share this connection: one that stopped
+			// reading must not stall the others' replies. Drop, as a local
+			// Send does; the client retransmits.
 			n.stats.Dropped.Add(1)
 			continue
 		}

@@ -95,6 +95,57 @@ func TestClientReturnRoute(t *testing.T) {
 	}
 }
 
+// TestFullClientInboxDoesNotStallConnection: two client endpoints share one
+// connection to a replica and one never reads. Replies to it beyond its
+// inbox are dropped and counted, so the other endpoint's replies still
+// arrive promptly; blocking on the full inbox would stall the whole
+// connection until the idle client read.
+func TestFullClientInboxDoesNotStallConnection(t *testing.T) {
+	fabs, clientFab, err := Loopback([]types.NodeID{0}, testSecret, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		fabs[0].Close()
+		clientFab.Close()
+	})
+	replicaInbox := fabs[0].Register(0)
+	idle, busy := types.ClientIDBase+1, types.ClientIDBase+2
+	idleInbox := clientFab.Register(idle)
+	busyInbox := clientFab.Register(busy)
+	if err := clientFab.ConnectAll(5 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	// Each endpoint's hello precedes its request on the connection, so once
+	// both requests arrive the replica routes replies to either over it.
+	for _, id := range []types.NodeID{idle, busy} {
+		clientFab.Send(0, &types.Envelope{Type: types.MsgRequest, From: id})
+		waitEnvelope(t, replicaInbox, 5*time.Second)
+	}
+
+	capacity := cap(idleInbox)
+	if capacity >= cap(replicaInbox) {
+		t.Fatalf("client inbox holds %d, want fewer than a replica's %d", capacity, cap(replicaInbox))
+	}
+	flood := 2 * capacity
+	dropped0 := clientFab.Stats().Dropped.Load()
+	for i := 0; i < flood; i++ {
+		fabs[0].Send(idle, &types.Envelope{Type: types.MsgReply, From: 0})
+	}
+	fabs[0].Send(busy, &types.Envelope{Type: types.MsgReply, From: 0})
+	if env := waitEnvelope(t, busyInbox, 5*time.Second); env.Type != types.MsgReply {
+		t.Fatalf("reply: %+v", env)
+	}
+	// The connection is FIFO: every flood frame was handled before the
+	// busy endpoint's reply.
+	if got := len(idleInbox); got != capacity {
+		t.Fatalf("idle client inbox holds %d, want %d", got, capacity)
+	}
+	if got := clientFab.Stats().Dropped.Load() - dropped0; got != int64(flood-capacity) {
+		t.Fatalf("dropped %d frames, want %d", got, flood-capacity)
+	}
+}
+
 // TestForgedFrameRejected sends a well-formed frame with a bad HMAC tag and
 // a garbage blob, directly over a raw TCP connection: neither may reach the
 // inbox, and authentic traffic afterwards still flows.

@@ -39,11 +39,13 @@ type Config struct {
 	DupProb float64
 	// Seed makes fault injection reproducible.
 	Seed int64
-	// InboxSize is the buffered capacity of each node's inbox. Messages
-	// beyond it spill into a bounded per-node overflow queue drained in
-	// arrival order, so saturation never silently loses or reorders the
-	// traffic the network decided to deliver; only a node whose overflow
-	// also fills (overflowFactor×InboxSize) starts dropping.
+	// InboxSize is the buffered capacity of each replica's inbox; a client
+	// endpoint's inbox holds at most clientInbox (see InboxCap). Messages
+	// beyond an inbox's capacity spill into a bounded per-node overflow
+	// queue drained in arrival order, so saturation never silently loses
+	// or reorders the traffic the network decided to deliver; only a node
+	// whose overflow also fills (overflowFactor×InboxSize, for clients
+	// too) starts dropping.
 	InboxSize int
 	// ProcessingTime models per-message service cost at each replica (CPU
 	// serialization, marshalling, syscalls). Every message a replica sends
@@ -238,7 +240,7 @@ func (n *Network) Register(id types.NodeID) <-chan *types.Envelope {
 	if ch, ok := n.inboxes[id]; ok {
 		return ch
 	}
-	ch := make(chan *types.Envelope, n.cfg.InboxSize)
+	ch := make(chan *types.Envelope, InboxCap(id, n.cfg.InboxSize))
 	n.inboxes[id] = ch
 	return ch
 }

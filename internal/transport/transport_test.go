@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"encoding/binary"
 	"testing"
 	"time"
 
@@ -222,29 +223,41 @@ func TestCloseDropsTraffic(t *testing.T) {
 // TestOverflowDrainsInOrder: messages beyond the inbox capacity spill into
 // the bounded per-node overflow queue and are delivered in arrival order
 // once the receiver starts consuming — saturation must not reorder or
-// silently lose traffic the network decided to deliver.
+// silently lose traffic the network decided to deliver. A client's small
+// inbox spills under the same replica-sized bound, so it loses nothing.
 func TestOverflowDrainsInOrder(t *testing.T) {
-	const inbox = 8
-	n, a, b, inboxB := twoNodes(Config{InboxSize: inbox})
-	defer n.Close()
-
-	const total = 3 * inbox // well past the channel capacity
-	for i := 0; i < total; i++ {
-		n.Send(b, &types.Envelope{From: a, Type: types.MsgRequest, Payload: []byte{byte(i)}})
-	}
-	deadline := time.After(2 * time.Second)
-	for i := 0; i < total; i++ {
-		select {
-		case env := <-inboxB:
-			if int(env.Payload[0]) != i {
-				t.Fatalf("message %d delivered at position %d", env.Payload[0], i)
+	for _, tc := range []struct {
+		name      string
+		inboxSize int
+		to        types.NodeID
+	}{
+		{"replica", 8, 1},
+		{"client", 16384, types.ClientIDBase + 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, a, _, _ := twoNodes(Config{InboxSize: tc.inboxSize})
+			defer n.Close()
+			inbox := n.Register(tc.to)
+			total := 3 * InboxCap(tc.to, tc.inboxSize) // well past the channel capacity
+			for i := 0; i < total; i++ {
+				n.Send(tc.to, &types.Envelope{From: a, Type: types.MsgRequest,
+					Payload: binary.LittleEndian.AppendUint16(nil, uint16(i))})
 			}
-		case <-deadline:
-			t.Fatalf("only %d of %d messages delivered", i, total)
-		}
-	}
-	if got := n.Stats().Delivered.Load(); got != total {
-		t.Fatalf("delivered %d, want %d", got, total)
+			deadline := time.After(5 * time.Second)
+			for i := 0; i < total; i++ {
+				select {
+				case env := <-inbox:
+					if got := int(binary.LittleEndian.Uint16(env.Payload)); got != i {
+						t.Fatalf("message %d delivered at position %d", got, i)
+					}
+				case <-deadline:
+					t.Fatalf("only %d of %d messages delivered", i, total)
+				}
+			}
+			if got := n.Stats().Delivered.Load(); got != int64(total) {
+				t.Fatalf("delivered %d, want %d", got, total)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,9 @@
 package types
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 func memoTx(amount int64) *Transaction {
 	return &Transaction{
@@ -101,4 +104,45 @@ func TestDecodedBlockDigestsMatch(t *testing.T) {
 	if dec.Hash() != bl.Hash() || dec.BatchDigest() != bl.BatchDigest() {
 		t.Fatal("decoded block digests diverge from original")
 	}
+	// Both digests share one cache; reading the batch digest first must
+	// not change either value.
+	dec2, _, err := DecodeBlock(bl.Encode(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dec2.BatchDigest() != BatchDigest(bl.Txs) || dec2.Hash() != bl.Hash() || dec2.BatchDigest() != bl.BatchDigest() {
+		t.Fatal("batch-digest-first reads diverge from original")
+	}
+}
+
+// TestBlockDigestsConcurrentReads has readers on several goroutines fill
+// fresh blocks' shared caches in both orders at once: each must see the
+// digests an unshared block computes.
+func TestBlockDigestsConcurrentReads(t *testing.T) {
+	ref := &Block{Txs: []*Transaction{memoTx(3), memoTx(5)}, Parents: []Hash{{4}}}
+	wantHash, wantBatch := ref.Hash(), BatchDigest(ref.Txs)
+	blocks := make([]*Block, 200)
+	for i := range blocks {
+		blocks[i] = &Block{Txs: ref.Txs, Parents: ref.Parents}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(hashFirst bool) {
+			defer wg.Done()
+			for _, bl := range blocks {
+				var h, b Hash
+				if hashFirst {
+					h, b = bl.Hash(), bl.BatchDigest()
+				} else {
+					b, h = bl.BatchDigest(), bl.Hash()
+				}
+				if h != wantHash || b != wantBatch {
+					t.Error("concurrent read returned a wrong digest")
+					return
+				}
+			}
+		}(g%2 == 0)
+	}
+	wg.Wait()
 }

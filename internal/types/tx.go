@@ -225,11 +225,47 @@ type Block struct {
 	Txs     []*Transaction
 	Parents []Hash
 
-	// hcache/bdcache memoize Hash and BatchDigest, validated against the
-	// current encoding on every read (see digestCache) so a mutated block
-	// misses rather than serving stale digests.
-	hcache  atomic.Pointer[digestCache]
-	bdcache atomic.Pointer[digestCache]
+	// dcache memoizes Hash and BatchDigest over one copy of the encoding,
+	// validated against the current encoding on every read (see
+	// blockDigests) so a mutated block misses rather than serving stale
+	// digests.
+	dcache atomic.Pointer[blockDigests]
+}
+
+// blockDigests memoizes both of a block's digests over one copy of its
+// canonical encoding: the batch encoding is a prefix of the block encoding,
+// so BatchDigest covers enc[:batchLen] and Hash all of enc. Like
+// digestCache, every read re-encodes and compares byte for byte. A sum is
+// computed the first time it is read and published in a fresh value, so
+// concurrent readers never see a half-filled cache.
+type blockDigests struct {
+	enc               []byte
+	batchLen          int
+	batch, hash       Hash
+	hasBatch, hasHash bool
+}
+
+// update computes the digest a read missed — the hash when whole, else the
+// batch digest — and publishes a cache for enc (the full block encoding,
+// batch first), keeping c's other sum when c covers the same bytes.
+func (c *blockDigests) update(p *atomic.Pointer[blockDigests], enc []byte, batchLen int, whole bool) Hash {
+	next := &blockDigests{batchLen: batchLen}
+	if c != nil && bytes.Equal(c.enc, enc) {
+		*next = *c
+	} else {
+		next.enc = append([]byte(nil), enc...)
+	}
+	if whole && !next.hasHash {
+		next.hash, next.hasHash = sha256.Sum256(enc), true
+	}
+	if !whole && !next.hasBatch {
+		next.batch, next.hasBatch = sha256.Sum256(enc[:batchLen]), true
+	}
+	p.Store(next)
+	if whole {
+		return next.hash
+	}
+	return next.batch
 }
 
 // Involved returns the involved-cluster set shared by every transaction in
@@ -250,7 +286,14 @@ func (bl *Block) IsCrossShard() bool { return len(bl.Involved()) > 1 }
 func (bl *Block) BatchDigest() Hash {
 	bp := getScratch()
 	enc := EncodeTxBatch((*bp)[:0], bl.Txs)
-	sum := bl.bdcache.Load().lookup(&bl.bdcache, enc)
+	n := len(enc)
+	var sum Hash
+	if c := bl.dcache.Load(); c != nil && c.hasBatch && c.batchLen == n && bytes.Equal(c.enc[:n], enc) {
+		sum = c.batch
+	} else {
+		enc = bl.appendParents(enc)
+		sum = c.update(&bl.dcache, enc, n, false)
+	}
 	*bp = enc
 	putScratch(bp)
 	return sum
@@ -272,7 +315,12 @@ func BatchDigest(txs []*Transaction) Hash {
 
 // Encode appends the canonical encoding of the block.
 func (bl *Block) Encode(dst []byte) []byte {
-	dst = EncodeTxBatch(dst, bl.Txs)
+	return bl.appendParents(EncodeTxBatch(dst, bl.Txs))
+}
+
+// appendParents appends the parents section that follows the batch in the
+// block encoding.
+func (bl *Block) appendParents(dst []byte) []byte {
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(bl.Parents)))
 	for _, p := range bl.Parents {
 		dst = append(dst, p[:]...)
@@ -310,7 +358,12 @@ func DecodeBlock(b []byte) (*Block, int, error) {
 func (bl *Block) Hash() Hash {
 	bp := getScratch()
 	enc := bl.Encode((*bp)[:0])
-	sum := bl.hcache.Load().lookup(&bl.hcache, enc)
+	var sum Hash
+	if c := bl.dcache.Load(); c != nil && c.hasHash && bytes.Equal(c.enc, enc) {
+		sum = c.hash
+	} else {
+		sum = c.update(&bl.dcache, enc, len(enc)-2-len(bl.Parents)*len(Hash{}), true)
+	}
 	*bp = enc
 	putScratch(bp)
 	return sum
